@@ -25,5 +25,5 @@
 pub mod load;
 pub mod timing;
 
-pub use load::{PageLoad, Phase};
+pub use load::{PageLoad, Phase, ReadyObject};
 pub use timing::{ObjectTiming, StepAverages};

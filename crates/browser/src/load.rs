@@ -34,6 +34,31 @@ pub enum Phase {
     Done,
 }
 
+/// A requestable object as a fetcher sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadyObject {
+    /// Discovery sequence number: ready objects across all domains, in
+    /// increasing `seq`, are in discovery order.
+    pub seq: u64,
+    /// The object.
+    pub id: ObjectId,
+    /// Page-local index of the object's domain (see
+    /// [`PageLoad::domain_name`]).
+    pub domain: usize,
+}
+
+/// The ready objects of one domain.
+#[derive(Debug)]
+struct DomainQueue {
+    /// An object of the page on this domain (names the domain).
+    rep: ObjectId,
+    /// `(seq, object)` in discovery order.
+    ready: VecDeque<(u64, ObjectId)>,
+    /// The fetcher may make progress on this domain: it gained a ready
+    /// object, or capacity, since the fetcher last found it blocked.
+    awake: bool,
+}
+
 /// One page load in progress.
 ///
 /// The page is held behind an [`Arc`] so the driver can share it with
@@ -42,14 +67,28 @@ pub enum Phase {
 /// [`PageLoad::reset`] — a sweep cell loads thousands of pages, and
 /// re-allocating phase/timing tables per visit dominated the
 /// control-plane allocation profile.
+///
+/// Ready objects wait in one queue per domain, each entry tagged with
+/// its discovery sequence number, so a fetcher whose capacity is
+/// per-domain (the HTTP connection pool) can look at only the domains
+/// that can move, and still visit them in discovery order.
 #[derive(Debug)]
 pub struct PageLoad {
     page: Arc<WebPage>,
     start: SimTime,
     phases: Vec<Phase>,
     timings: Vec<ObjectTiming>,
-    /// Objects discovered but not yet requested, in discovery order.
-    ready: VecDeque<ObjectId>,
+    /// Discovery sequence number per discovered object.
+    seqs: Vec<u64>,
+    /// Page-local domain index per discovered object.
+    domain_of: Vec<u32>,
+    /// Per-domain ready queues. The first `domain_count` belong to this
+    /// page; the rest are spare buffers kept across [`PageLoad::reset`].
+    domains: Vec<DomainQueue>,
+    domain_count: usize,
+    /// Objects waiting in the ready queues.
+    ready_len: usize,
+    next_seq: u64,
     /// Downloaded evaluated-kind objects awaiting the single evaluator.
     eval_queue: VecDeque<ObjectId>,
     /// `(object, finish_time)` of the evaluation in progress.
@@ -68,7 +107,12 @@ impl PageLoad {
             start: now,
             phases: vec![Phase::Hidden; n],
             timings: vec![ObjectTiming::default(); n],
-            ready: VecDeque::new(),
+            seqs: vec![0; n],
+            domain_of: vec![0; n],
+            domains: Vec::new(),
+            domain_count: 0,
+            ready_len: 0,
+            next_seq: 0,
             eval_queue: VecDeque::new(),
             evaluating: None,
             onload: None,
@@ -88,7 +132,16 @@ impl PageLoad {
         self.phases.resize(n, Phase::Hidden);
         self.timings.clear();
         self.timings.resize(n, ObjectTiming::default());
-        self.ready.clear();
+        self.seqs.clear();
+        self.seqs.resize(n, 0);
+        self.domain_of.clear();
+        self.domain_of.resize(n, 0);
+        for q in &mut self.domains[..self.domain_count] {
+            q.ready.clear();
+        }
+        self.domain_count = 0;
+        self.ready_len = 0;
+        self.next_seq = 0;
         self.eval_queue.clear();
         self.evaluating = None;
         self.onload = None;
@@ -112,12 +165,95 @@ impl PageLoad {
 
     /// Objects currently requestable, in discovery order.
     pub fn ready_objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.ready.iter().copied()
+        std::iter::successors(self.next_ready(None, false), |r| {
+            self.next_ready(Some(r.seq), false)
+        })
+        .map(|r| r.id)
     }
 
     /// Number of requestable objects.
     pub fn ready_count(&self) -> usize {
-        self.ready.len()
+        self.ready_len
+    }
+
+    /// The first ready object, in discovery order, discovered after
+    /// sequence number `after` (from the start if `None`) on an awake
+    /// domain. Entries a fetcher skipped stay queued.
+    pub fn next_awake_ready(&self, after: Option<u64>) -> Option<ReadyObject> {
+        self.next_ready(after, true)
+    }
+
+    fn next_ready(&self, after: Option<u64>, awake_only: bool) -> Option<ReadyObject> {
+        let mut best: Option<ReadyObject> = None;
+        for (domain, q) in self.domains[..self.domain_count].iter().enumerate() {
+            if awake_only && !q.awake {
+                continue;
+            }
+            let Some(&(front, _)) = q.ready.front() else {
+                continue;
+            };
+            let i = match after {
+                Some(a) if front <= a => q.ready.partition_point(|&(s, _)| s <= a),
+                _ => 0,
+            };
+            if let Some(&(seq, id)) = q.ready.get(i) {
+                if best.is_none_or(|b| seq < b.seq) {
+                    best = Some(ReadyObject { seq, id, domain });
+                }
+            }
+        }
+        best
+    }
+
+    /// True when some awake domain has a ready object.
+    pub fn has_awake_ready(&self) -> bool {
+        self.domains[..self.domain_count]
+            .iter()
+            .any(|q| q.awake && !q.ready.is_empty())
+    }
+
+    /// Whether page-local domain `domain` is awake.
+    pub fn is_awake(&self, domain: usize) -> bool {
+        self.domains[domain].awake
+    }
+
+    /// The fetcher found `domain` blocked: skip it until it is woken.
+    pub fn sleep_domain(&mut self, domain: usize) {
+        self.domains[domain].awake = false;
+    }
+
+    /// Capacity for the domain named `name` changed: wake it (no-op if
+    /// this page has no object there).
+    pub fn wake_domain(&mut self, name: &str) {
+        let page = &self.page;
+        if let Some(q) = self.domains[..self.domain_count]
+            .iter_mut()
+            .find(|q| page.objects[q.rep.0 as usize].domain == name)
+        {
+            q.awake = true;
+        }
+    }
+
+    /// Capacity changed for every domain: wake them all.
+    pub fn wake_all(&mut self) {
+        for q in &mut self.domains[..self.domain_count] {
+            q.awake = true;
+        }
+    }
+
+    /// Ready objects on page-local domain `domain`.
+    pub fn ready_in(&self, domain: usize) -> usize {
+        self.domains[domain].ready.len()
+    }
+
+    /// Number of distinct domains among the objects discovered so far.
+    pub fn domain_count(&self) -> usize {
+        self.domain_count
+    }
+
+    /// Name of page-local domain `domain`.
+    pub fn domain_name(&self, domain: usize) -> &str {
+        &self.page.objects[self.domains[domain].rep.0 as usize].domain
     }
 
     /// Phase of an object.
@@ -131,7 +267,12 @@ impl PageLoad {
     /// [`PageLoad::note_requested`] still applies when the request goes
     /// out.
     pub fn take_ready(&mut self, id: ObjectId) {
-        self.ready.retain(|&r| r != id);
+        let i = id.0 as usize;
+        let q = &mut self.domains[self.domain_of[i] as usize].ready;
+        if let Ok(pos) = q.binary_search_by_key(&self.seqs[i], |&(s, _)| s) {
+            q.remove(pos);
+            self.ready_len -= 1;
+        }
     }
 
     /// The driver issued the request for `id` at `now` (after any pool
@@ -145,7 +286,7 @@ impl PageLoad {
             "request of non-ready object {id:?}"
         );
         self.phases[i] = Phase::InFlight;
-        self.ready.retain(|&r| r != id);
+        self.take_ready(id);
         self.timings[i].requested = Some(now);
         self.timings[i].sent = Some(now);
     }
@@ -248,7 +389,32 @@ impl PageLoad {
         let i = id.0 as usize;
         self.phases[i] = Phase::Ready;
         self.timings[i].discovered = Some(now);
-        self.ready.push_back(id);
+        let name = &self.page.objects[i].domain;
+        let page = &self.page;
+        let found = self.domains[..self.domain_count]
+            .iter()
+            .position(|q| page.objects[q.rep.0 as usize].domain == *name);
+        let d = found.unwrap_or_else(|| {
+            let d = self.domain_count;
+            if d == self.domains.len() {
+                self.domains.push(DomainQueue {
+                    rep: id,
+                    ready: VecDeque::new(),
+                    awake: true,
+                });
+            }
+            self.domains[d].rep = id;
+            self.domain_count += 1;
+            d
+        });
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.seqs[i] = seq;
+        self.domain_of[i] = d as u32;
+        let q = &mut self.domains[d];
+        q.ready.push_back((seq, id));
+        q.awake = true;
+        self.ready_len += 1;
     }
 
     fn maybe_start_eval(&mut self, now: SimTime) {
@@ -456,5 +622,122 @@ mod tests {
         load.on_timer(t(30));
         assert!(load.is_complete());
         assert_eq!(load.onload_time(), Some(t(30)));
+    }
+
+    /// The single discovery-order queue the per-domain queues replace.
+    struct Reference(VecDeque<ObjectId>);
+
+    impl Reference {
+        fn remove(&mut self, id: ObjectId) {
+            self.0.retain(|&r| r != id);
+        }
+    }
+
+    /// Drive `load` while taking ready objects out of discovery order,
+    /// checking the merged queues against the single reference queue
+    /// after every step.
+    fn drive_against_reference(mut load: PageLoad, fetch_ms: u64) -> PageLoad {
+        let mut reference = Reference(load.ready_objects().collect());
+        assert_eq!(reference.0, [ObjectId(0)]);
+        let mut now = load.start_time();
+        let mut step = 0usize;
+        while !load.is_complete() {
+            step += 1;
+            assert!(step < 100_000, "load stuck");
+            let ready: Vec<ObjectId> = load.ready_objects().collect();
+            assert_eq!(ready, Vec::from(reference.0.clone()), "step {step}");
+            assert_eq!(load.ready_count(), ready.len());
+            // Reserve every other object (as a fetcher waiting for a
+            // handshake would), request the rest directly.
+            for (k, &id) in ready.iter().enumerate().rev() {
+                if (k + step).is_multiple_of(2) {
+                    load.take_ready(id);
+                    reference.remove(id);
+                    assert!(load.ready_objects().eq(reference.0.iter().copied()));
+                }
+                load.note_requested(id, now);
+                reference.remove(id);
+                assert!(load.ready_objects().eq(reference.0.iter().copied()));
+                load.note_complete(id, now + SimDuration::from_millis(fetch_ms));
+            }
+            now = match load.next_timer() {
+                Some(timer) => timer.max(now + SimDuration::from_millis(fetch_ms)),
+                None => now + SimDuration::from_millis(fetch_ms),
+            };
+            reference.0.extend(load.on_timer(now));
+        }
+        assert_eq!(load.ready_count(), 0);
+        load
+    }
+
+    #[test]
+    fn per_domain_queues_merge_to_discovery_order() {
+        let multi = synthesize(SiteSpec::by_index(12).unwrap(), &mut DetRng::new(4));
+        assert!(multi.domains().len() > 3, "needs a multi-domain page");
+        let mut load = drive_against_reference(PageLoad::new(multi, t(0)), 40);
+        for idx in [3u32, 20, 7] {
+            let page = synthesize(SiteSpec::by_index(idx).unwrap(), &mut DetRng::new(9));
+            load.reset(page, t(1_000));
+            load = drive_against_reference(load, 40);
+        }
+    }
+
+    #[test]
+    fn awake_iteration_skips_sleeping_domains() {
+        let page = synthesize(SiteSpec::by_index(12).unwrap(), &mut DetRng::new(4));
+        let mut load = PageLoad::new(page, t(0));
+        load.note_requested(ObjectId(0), t(0));
+        load.note_complete(ObjectId(0), t(10));
+        let parse = load.next_timer().unwrap();
+        load.on_timer(parse);
+        let all: Vec<ObjectId> = load.ready_objects().collect();
+        let first = load.next_awake_ready(None).unwrap();
+        assert_eq!(first.id, all[0]);
+        load.sleep_domain(first.domain);
+        let awake: Vec<ObjectId> = std::iter::successors(load.next_awake_ready(None), |r| {
+            load.next_awake_ready(Some(r.seq))
+        })
+        .map(|r| r.id)
+        .collect();
+        let expected: Vec<ObjectId> = all
+            .iter()
+            .copied()
+            .filter(|&id| load.page().object(id).domain != load.domain_name(first.domain))
+            .collect();
+        assert_eq!(awake, expected);
+        assert_eq!(
+            load.ready_count(),
+            all.len(),
+            "sleeping keeps objects queued"
+        );
+        let name = load.domain_name(first.domain).to_string();
+        load.wake_domain(&name);
+        assert_eq!(load.next_awake_ready(None), Some(first));
+    }
+
+    /// Buffer capacities a load holds: the domain-queue table and every
+    /// queue in it.
+    fn footprint(load: &PageLoad) -> (usize, Vec<usize>) {
+        (
+            load.domains.capacity(),
+            load.domains.iter().map(|q| q.ready.capacity()).collect(),
+        )
+    }
+
+    #[test]
+    fn reset_reuses_queue_buffers() {
+        let page = synthesize(SiteSpec::by_index(12).unwrap(), &mut DetRng::new(4));
+        let small = test_page(4, 500, true);
+        let mut load = drive(PageLoad::new(page.clone(), t(0)), 60);
+        let mut warm = None;
+        for visit in 1..6u64 {
+            // A smaller page in between must not shed the buffers.
+            load.reset(small.clone(), t(visit * 1_000));
+            load = drive(load, 60);
+            load.reset(page.clone(), t(visit * 1_000 + 500));
+            load = drive(load, 60);
+            let warm = warm.get_or_insert_with(|| footprint(&load));
+            assert_eq!(&footprint(&load), warm, "visit {visit}");
+        }
     }
 }

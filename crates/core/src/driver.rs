@@ -26,7 +26,6 @@ use spdyier_origin::{OriginConfig, OriginServers};
 use spdyier_proxy::{ClientConnId, FetchId};
 use spdyier_sim::{SimDuration, SimTime};
 use spdyier_trace::{FlightLog, TraceEvent, TraceLevel};
-use spdyier_workload::ObjectId;
 
 /// A run failed in a structured, reportable way.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,12 +78,6 @@ pub struct Testbed {
     visits: Visits,
     side: Side,
     origin: OriginServers,
-    /// Re-entrancy guard: object assignment must not act on a stale ready
-    /// snapshot if reached from within itself.
-    assigning: bool,
-    /// Reusable scratch for the ready-object snapshot the assignment
-    /// sweep takes (the sweep re-runs on every unblocking event).
-    ready_buf: Vec<ObjectId>,
     last_inflight: f64,
     result: RunResult,
     ended: bool,
@@ -101,8 +94,6 @@ impl Testbed {
             visits: Visits::new(),
             side,
             origin: OriginServers::new(OriginConfig::default()),
-            assigning: false,
-            ready_buf: Vec::new(),
             last_inflight: -1.0,
             result,
             ended: false,
@@ -191,6 +182,7 @@ impl Testbed {
             self.world.drain_tx(idx, &mut self.result);
             self.world.resched_timers(idx);
             self.world.maybe_mark_closed(idx);
+            self.side.sync_pipe(&mut self.world, idx);
         }
         self.sample_inflight();
         self.check_visit_complete();
@@ -385,30 +377,14 @@ impl Testbed {
 
     // ----- Browser-side request assignment -----
 
+    /// Run an assignment pass if some domain with ready objects is awake
+    /// (it gained objects or capacity since it was last found blocked).
     fn assign_ready_objects(&mut self) {
-        if self.assigning {
+        if !with_side!(self, side, ctx, side.should_assign(&mut ctx)) {
             return;
         }
-        let Some(load) = self.visits.load.as_ref() else {
-            return;
-        };
-        if load.is_complete() {
-            return;
-        }
-        let mut ready = std::mem::take(&mut self.ready_buf);
-        ready.clear();
-        ready.extend(load.ready_objects());
-        if ready.is_empty() {
-            self.ready_buf = ready;
-            return;
-        }
-        self.assigning = true;
-        {
-            let _span = spdyier_prof::scope("session.assign");
-            with_side!(self, side, ctx, side.assign_ready(&mut ctx, &ready));
-        }
-        self.assigning = false;
-        self.ready_buf = ready;
+        let _span = spdyier_prof::scope("session.assign");
+        with_side!(self, side, ctx, side.assign_ready(&mut ctx));
     }
 
     // ----- Visit lifecycle and sampling -----
@@ -467,6 +443,9 @@ impl Testbed {
                 p.last_activity = now;
                 let conn = if to_b { &mut p.b } else { &mut p.a };
                 conn.on_segment(now, seg);
+                // A handshake may have completed: the attempt count must
+                // be exact before any assignment pass in servicing.
+                self.side.sync_pipe(&mut self.world, pipe);
                 self.world.mark_dirty(pipe);
                 self.service_all();
             }

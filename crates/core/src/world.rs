@@ -131,7 +131,7 @@ pub(crate) struct World {
     pub pipes: Vec<Pipe>,
     /// Indices of not-yet-closed pipes, ascending. Maintained by
     /// [`World::new_pipe`]/[`World::harvest_pipe`] so per-event sweeps
-    /// (handshake throttle counts, pool scans) skip the ever-growing
+    /// (origin fetch routing, in-flight totals) skip the ever-growing
     /// tail of closed pipes.
     pub live: Vec<usize>,
     /// Pipes with pending service work, in discovery order.

@@ -31,4 +31,4 @@ pub mod pool;
 pub use codec::{ParseError, RequestParser, ResponseParser};
 pub use conn::{HttpClientConn, HttpServerConn};
 pub use message::{Request, Response};
-pub use pool::{Acquire, ConnectionPool, PoolConfig, PoolConnId};
+pub use pool::{Acquire, ConnectionPool, PoolConfig, PoolConnId, Wake};
