@@ -15,7 +15,10 @@
 //!   window (which includes previously processed blocks).
 
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Static dictionary: common header names/values, as in the SPDY/3 spec's
@@ -39,6 +42,15 @@ fn put_varint(out: &mut BytesMut, mut v: u64) {
     }
 }
 
+/// Emit a literal-run token for `lit`, if it is not empty.
+fn put_literal(out: &mut BytesMut, lit: &[u8]) {
+    if !lit.is_empty() {
+        out.put_u8(0x00);
+        put_varint(out, lit.len() as u64);
+        out.put_slice(lit);
+    }
+}
+
 fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v: u64 = 0;
     let mut shift = 0;
@@ -57,6 +69,10 @@ fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// The shared rolling window, identical on both sides.
+///
+/// Each side appends a block to `buf` *before* working on it, so the
+/// block's own earlier bytes and the window form one contiguous search
+/// space, and calls [`Window::trim`] once the block is done.
 #[derive(Debug, Clone)]
 struct Window {
     /// Static dictionary followed by session history.
@@ -70,36 +86,64 @@ impl Window {
         }
     }
 
-    fn extend(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-        let overflow = self
-            .buf
-            .len()
-            .saturating_sub(STATIC_DICTIONARY.len() + MAX_HISTORY);
+    /// Drop the oldest history beyond [`MAX_HISTORY`] (the static
+    /// dictionary stays intact); returns the number of bytes dropped.
+    fn trim(&mut self) -> usize {
+        let s_len = STATIC_DICTIONARY.len();
+        let overflow = self.buf.len().saturating_sub(s_len + MAX_HISTORY);
         if overflow > 0 {
-            // Drop the oldest history (keep the static dictionary intact).
-            self.buf
-                .drain(STATIC_DICTIONARY.len()..STATIC_DICTIONARY.len() + overflow);
+            self.buf.drain(s_len..s_len + overflow);
         }
+        overflow
     }
 }
 
-/// Per-key candidate cap: the 4-gram index keeps at most this many
-/// positions per key, oldest first (matching the original per-call
-/// rebuild, which stopped inserting once a slot was full).
+/// Per-key candidate cap: a key offers at most this many positions,
+/// oldest first (matching the original per-call index rebuild, which
+/// stopped inserting once a slot was full).
 const MAX_CANDIDATES: usize = 32;
+
+/// The 4-gram starting at `at`, as a little-endian `u32` key.
+fn gram(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
+}
+
+/// Hasher for gram keys: one multiply, with the high half folded into
+/// the low half so both the table's bucket bits (low) and tag bits
+/// (high) depend on all four bytes. Grams are not attacker-chosen, so
+/// SipHash's flood resistance buys nothing here.
+#[derive(Default)]
+struct GramHasher(u64);
+
+impl Hasher for GramHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        let h = (self.0 ^ u64::from(key)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type GramMap<V> = HashMap<u32, V, BuildHasherDefault<GramHasher>>;
 
 /// Positions of every 4-gram fully inside the static dictionary,
 /// ascending, capped at [`MAX_CANDIDATES`] per key. The dictionary is a
 /// constant, so this is computed once per process and shared.
-fn static_index() -> &'static HashMap<[u8; 4], Vec<u32>> {
-    static INDEX: OnceLock<HashMap<[u8; 4], Vec<u32>>> = OnceLock::new();
+fn static_index() -> &'static GramMap<Vec<u32>> {
+    static INDEX: OnceLock<GramMap<Vec<u32>>> = OnceLock::new();
     INDEX.get_or_init(|| {
         let d = STATIC_DICTIONARY;
-        let mut index: HashMap<[u8; 4], Vec<u32>> = HashMap::new();
-        for i in 0..d.len().saturating_sub(MIN_MATCH - 1) {
-            let key = [d[i], d[i + 1], d[i + 2], d[i + 3]];
-            let slot = index.entry(key).or_default();
+        let mut index = GramMap::<Vec<u32>>::default();
+        for i in 0..=d.len() - MIN_MATCH {
+            let slot = index.entry(gram(d, i)).or_default();
             if slot.len() < MAX_CANDIDATES {
                 slot.push(i as u32);
             }
@@ -108,41 +152,185 @@ fn static_index() -> &'static HashMap<[u8; 4], Vec<u32>> {
     })
 }
 
-/// In-call 4-gram positions (window coordinates of the current call),
-/// epoch-tagged so the map's allocations survive across calls without
-/// per-call clearing.
+/// Length of the common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i + 8 <= n {
+        let x = u64::from_le_bytes(a[i..i + 8].try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+        if x != 0 {
+            return i + (x.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// One stream position's links to the previous and next positions of
+/// the same gram, as distances (0: none).
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+/// A gram's oldest and newest registered stream positions. `head` may
+/// have fallen out of the window; it is moved up when the key is next
+/// searched.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u64,
+    tail: u64,
+}
+
+/// Every history and input gram by stream position: per key a chain
+/// from its oldest to its newest position, linked through a ring indexed
+/// by stream position. A position's ring slot is reused once the stream
+/// has moved a full ring length past it, so expired positions cost
+/// nothing to free; only keys whose newest position expired are dropped,
+/// by [`GramIndex::sweep`].
 #[derive(Debug, Default)]
-struct Overlay {
-    epoch: u64,
-    positions: Vec<u32>,
+struct GramIndex {
+    chains: GramMap<Chain>,
+    /// Slot `s & (len - 1)` holds position `s`'s links; the length is a
+    /// power of two no shorter than the live span.
+    ring: Vec<Link>,
+    /// One past the newest registered position.
+    end: u64,
+    /// Positions below this lost their slots when the ring last grew.
+    valid_from: u64,
+}
+
+impl GramIndex {
+    /// Make room for `span` live positions from `live_from`, carrying
+    /// their links over when the ring grows.
+    fn reserve(&mut self, live_from: u64, span: u64) {
+        let len = span.next_power_of_two().max(1024) as usize;
+        if len <= self.ring.len() {
+            return;
+        }
+        let mut ring = vec![Link::default(); len];
+        for s in live_from..self.end {
+            ring[s as usize & (len - 1)] = self.ring[s as usize & (self.ring.len() - 1)];
+        }
+        self.ring = ring;
+        self.valid_from = live_from;
+    }
+
+    /// Register position `s` (above every earlier one) under `key`; a
+    /// chain whose newest position is below `live_from` starts afresh.
+    fn push(&mut self, key: u32, s: u64, live_from: u64) {
+        debug_assert!(s >= self.end, "positions register in stream order");
+        self.end = s + 1;
+        let mask = self.ring.len() - 1;
+        let fresh = Chain { head: s, tail: s };
+        let mut link = Link::default();
+        match self.chains.entry(key) {
+            Entry::Occupied(mut e) if e.get().tail >= live_from => {
+                let chain = e.get_mut();
+                let gap = u32::try_from(s - chain.tail).expect("live span fits in u32");
+                self.ring[chain.tail as usize & mask].next = gap;
+                link.prev = gap;
+                chain.tail = s;
+            }
+            Entry::Occupied(mut e) => *e.get_mut() = fresh,
+            Entry::Vacant(e) => {
+                e.insert(fresh);
+            }
+        }
+        self.ring[s as usize & mask] = link;
+    }
+
+    /// Append `key`'s positions from `live_from` on, oldest first and as
+    /// window positions (stream position minus `drained`), to `out`
+    /// while it holds fewer than [`MAX_CANDIDATES`], skipping `skip`.
+    fn collect(
+        &mut self,
+        key: u32,
+        live_from: u64,
+        skip: &Range<u64>,
+        drained: u64,
+        out: &mut Vec<usize>,
+    ) {
+        let GramIndex {
+            chains,
+            ring,
+            end,
+            valid_from,
+        } = self;
+        let Some(chain) = chains.get_mut(&key) else {
+            return;
+        };
+        if chain.tail < live_from {
+            return;
+        }
+        let link = |s: u64| ring[s as usize & (ring.len() - 1)];
+        let next = |s: u64| {
+            let gap = link(s).next;
+            debug_assert!(gap > 0, "chain broken before its tail at {s}");
+            s + u64::from(gap)
+        };
+        if chain.head < live_from {
+            // A slot is reused once the stream is a ring length past it.
+            if chain.head >= *valid_from && chain.head + ring.len() as u64 >= *end {
+                while chain.head < live_from {
+                    chain.head = next(chain.head);
+                }
+            } else {
+                // The expired prefix lost its slots: walk back from the
+                // newest position instead (live slots are always intact).
+                chain.head = chain.tail;
+                loop {
+                    let prev = u64::from(link(chain.head).prev);
+                    if prev == 0 || chain.head - prev < live_from {
+                        break;
+                    }
+                    chain.head -= prev;
+                }
+            }
+        }
+        let mut s = chain.head;
+        while out.len() < MAX_CANDIDATES {
+            if !skip.contains(&s) {
+                out.push((s - drained) as usize);
+            }
+            if s == chain.tail {
+                break;
+            }
+            s = next(s);
+        }
+    }
+
+    /// Drop the keys whose newest position is below `live_from`.
+    fn sweep(&mut self, live_from: u64) {
+        self.chains.retain(|_, chain| chain.tail >= live_from);
+    }
 }
 
 /// The compressing half of a session's header codec.
 ///
-/// The candidate index is persistent and incremental: static-dictionary
-/// grams are computed once per process, history grams live in per-key
-/// deques of *stream* positions (stable as the window drains), and the
-/// three grams spanning the static/history boundary — whose bytes change
-/// every time the history head shifts — are recomputed per call. The
-/// assembled candidate list for a key is byte-for-byte the list the
-/// original per-call index rebuild produced, so compressed output is
-/// unchanged; what's gone is the 17 KiB window clone and the full index
-/// rebuild on every header block.
+/// One gram index serves the whole stream: static-dictionary grams are
+/// computed once per process, and every later gram is registered in a
+/// [`GramIndex`] by *stream* position (stable as the window drains), in
+/// stream order, as the compressor's cursor passes it. The three grams
+/// spanning the static/history boundary — whose bytes change every time
+/// the history head shifts — are recomputed per call. The candidate list
+/// for a key is byte-for-byte the list the original per-call index
+/// rebuild produced, so compressed output is unchanged (DESIGN.md, "SPDY
+/// header compression").
 #[derive(Debug)]
 pub struct Compressor {
     window: Window,
     /// History bytes dropped from the window so far; stream position `s`
     /// of a retained history byte maps to window position `s - drained`.
     drained: u64,
-    /// Per-key stream positions of history grams, ascending. Entries
-    /// below the current history start are pruned lazily on access and
-    /// in a periodic full sweep.
-    history: HashMap<[u8; 4], VecDeque<u64>>,
-    /// Per-call input-gram positions (see [`Overlay`]).
-    overlay: HashMap<[u8; 4], Overlay>,
-    /// Current call number, tags overlay entries.
-    epoch: u64,
-    /// `drained` at the last full prune of `history`.
+    /// History and input grams.
+    index: GramIndex,
+    /// `drained` at the last sweep of `index`.
     pruned_at: u64,
     /// Reusable candidate-assembly buffer.
     scratch: Vec<usize>,
@@ -156,73 +344,13 @@ impl Default for Compressor {
     }
 }
 
-/// Assemble the candidate list for `key` exactly as the original
-/// per-call index held it: static-interior positions, then the (up to
-/// three) boundary grams, then history positions ascending, then this
-/// call's overlay appends — truncated to the first [`MAX_CANDIDATES`].
-#[allow(clippy::too_many_arguments)]
-fn assemble_candidates(
-    scratch: &mut Vec<usize>,
-    key: [u8; 4],
-    win: &[u8],
-    drained: u64,
-    hist_start: u64,
-    history: &mut HashMap<[u8; 4], VecDeque<u64>>,
-    overlay: &HashMap<[u8; 4], Overlay>,
-    epoch: u64,
-) {
-    scratch.clear();
-    let s_len = STATIC_DICTIONARY.len();
-    if let Some(stat) = static_index().get(&key) {
-        scratch.extend(stat.iter().map(|&p| p as usize));
-    }
-    // Grams straddling the static/history boundary (window positions
-    // S-3..S-1); their bytes depend on the current history head.
-    let hist_len = win.len() - s_len;
-    for i in (s_len - (MIN_MATCH - 1))..s_len {
-        if scratch.len() >= MAX_CANDIDATES {
-            break;
-        }
-        if hist_len >= i + MIN_MATCH - s_len && win[i..i + MIN_MATCH] == key[..] {
-            scratch.push(i);
-        }
-    }
-    if scratch.len() < MAX_CANDIDATES {
-        if let Some(dq) = history.get_mut(&key) {
-            while dq.front().is_some_and(|&s| s < hist_start) {
-                dq.pop_front();
-            }
-            for &s in dq.iter() {
-                if scratch.len() >= MAX_CANDIDATES {
-                    break;
-                }
-                scratch.push((s - drained) as usize);
-            }
-        }
-    }
-    if scratch.len() < MAX_CANDIDATES {
-        if let Some(ov) = overlay.get(&key) {
-            if ov.epoch == epoch {
-                for &a in &ov.positions {
-                    if scratch.len() >= MAX_CANDIDATES {
-                        break;
-                    }
-                    scratch.push(a as usize);
-                }
-            }
-        }
-    }
-}
-
 impl Compressor {
     /// A compressor primed with the static dictionary.
     pub fn new() -> Compressor {
         Compressor {
             window: Window::new(),
             drained: 0,
-            history: HashMap::new(),
-            overlay: HashMap::new(),
-            epoch: 0,
+            index: GramIndex::default(),
             pruned_at: 0,
             scratch: Vec::new(),
             stats_in: 0,
@@ -241,139 +369,104 @@ impl Compressor {
         let base = self.window.buf.len();
         let drained = self.drained;
         let hist_start = s_len as u64 + drained; // stream pos of history head
-        let stream_len = hist_start + (base - s_len) as u64; // before this input
-        self.epoch += 1;
-        let epoch = self.epoch;
-
-        // Split borrows so candidate assembly can prune `history` while
-        // the window stays readable.
+        let stream_len = drained + base as u64; // stream pos of input[0]
         let Compressor {
             window,
-            history,
-            overlay,
+            index,
             scratch,
             ..
         } = &mut *self;
-        let win: &[u8] = &window.buf;
-        // Search space = window ++ input, addressed without materializing.
-        let byte = |p: usize| -> u8 {
-            if p < base {
-                win[p]
-            } else {
-                input[p - base]
+        index.reserve(hist_start, stream_len + input.len() as u64 - hist_start);
+
+        // Grams straddling the static/history boundary, over the window
+        // as it stands before this input; their bytes change whenever
+        // the history head moves, so they are not in the index.
+        let mut boundary = [(0, 0); MIN_MATCH - 1];
+        let mut boundary_len = 0;
+        for i in (s_len - (MIN_MATCH - 1))..s_len {
+            if i + MIN_MATCH <= base {
+                boundary[boundary_len] = (gram(&window.buf, i), i);
+                boundary_len += 1;
             }
-        };
-        let push_overlay = |overlay: &mut HashMap<[u8; 4], Overlay>, key: [u8; 4], a: usize| {
-            let ov = overlay.entry(key).or_default();
-            if ov.epoch != epoch {
-                ov.epoch = epoch;
-                ov.positions.clear();
+        }
+
+        // One search space: window ++ input.
+        window.buf.extend_from_slice(input);
+        let buf: &[u8] = &window.buf;
+        let end = buf.len();
+
+        // Grams spanning the window/input boundary belong to the history
+        // the next call sees; register them now, in stream order, but
+        // never offer them during this call.
+        let skip = stream_len
+            .saturating_sub(MIN_MATCH as u64 - 1)
+            .max(s_len as u64)..stream_len;
+        for s in skip.clone() {
+            let p = (s - drained) as usize;
+            if p + MIN_MATCH <= end {
+                index.push(gram(buf, p), s, hist_start);
             }
-            ov.positions.push(a as u32);
-        };
+        }
 
         let mut out = BytesMut::with_capacity(input.len() / 2 + 16);
-        let mut literal_start = 0usize; // within input
-        let mut pos = 0usize;
-        while pos < input.len() {
-            let abs = base + pos;
-            let mut best: Option<(usize, usize)> = None; // (src, len)
-            if pos + MIN_MATCH <= input.len() {
-                let key = [input[pos], input[pos + 1], input[pos + 2], input[pos + 3]];
-                assemble_candidates(
-                    scratch, key, win, drained, hist_start, history, overlay, epoch,
-                );
-                for &src in scratch.iter().rev() {
-                    let mut l = 0usize;
-                    while l < MAX_MATCH
-                        && pos + l < input.len()
-                        && byte(src + l) == input[pos + l]
-                        // Matches may run into the current input but the
-                        // source must start before `abs`.
-                        && src + l < abs
-                    {
-                        l += 1;
+        let gram_end = end.saturating_sub(MIN_MATCH - 1); // last gram start + 1
+        let mut literal_start = base;
+        let mut pos = base;
+        while pos < end {
+            let (mut src, mut len) = (0, 0);
+            if pos < gram_end {
+                // Candidates: static-interior positions, the boundary
+                // grams, then history and passed input ascending — the
+                // first MAX_CANDIDATES of them.
+                let key = gram(buf, pos);
+                let s = pos as u64 + drained;
+                scratch.clear();
+                if let Some(stat) = static_index().get(&key) {
+                    scratch.extend(stat.iter().map(|&p| p as usize));
+                }
+                for &(k, i) in &boundary[..boundary_len] {
+                    if k == key && scratch.len() < MAX_CANDIDATES {
+                        scratch.push(i);
                     }
-                    if l >= MIN_MATCH && best.is_none_or(|(_, bl)| l > bl) {
-                        best = Some((src, l));
+                }
+                index.collect(key, hist_start, &skip, drained, scratch);
+                index.push(key, s, hist_start);
+                // Newest first; a later candidate must be strictly longer.
+                for &cand in scratch.iter().rev() {
+                    // The source must end before `pos`: no overlapping copies.
+                    let limit = MAX_MATCH.min(end - pos).min(pos - cand);
+                    if limit <= len || buf[cand + len] != buf[pos + len] {
+                        continue;
+                    }
+                    let l = common_prefix(&buf[cand..cand + limit], &buf[pos..pos + limit]);
+                    if l > len {
+                        (src, len) = (cand, l);
                     }
                 }
             }
-            match best {
-                Some((src, len)) => {
-                    // Flush pending literals.
-                    if literal_start < pos {
-                        let lit = &input[literal_start..pos];
-                        out.put_u8(0x00);
-                        put_varint(&mut out, lit.len() as u64);
-                        out.put_slice(lit);
-                    }
-                    out.put_u8(0x01);
-                    put_varint(&mut out, (abs - src) as u64);
-                    put_varint(&mut out, len as u64);
-                    // Newly emitted input becomes searchable.
-                    for i in pos..(pos + len).min(input.len().saturating_sub(MIN_MATCH - 1)) {
-                        let a = base + i;
-                        let key = [input[i], input[i + 1], input[i + 2], input[i + 3]];
-                        push_overlay(overlay, key, a);
-                    }
-                    pos += len;
-                    literal_start = pos;
-                }
-                None => {
-                    if pos + MIN_MATCH <= input.len() {
-                        let key = [input[pos], input[pos + 1], input[pos + 2], input[pos + 3]];
-                        push_overlay(overlay, key, abs);
-                    }
-                    pos += 1;
-                }
-            }
-        }
-        if literal_start < input.len() {
-            let lit = &input[literal_start..];
-            out.put_u8(0x00);
-            put_varint(&mut out, lit.len() as u64);
-            out.put_slice(lit);
-        }
-
-        // Register the grams the next call's window will contain: stream
-        // positions from just before this input (grams completing across
-        // the block boundary) through `stream_end - 4`.
-        let stream_end = stream_len + input.len() as u64;
-        if stream_end >= s_len as u64 + MIN_MATCH as u64 {
-            let lo = stream_len
-                .saturating_sub(MIN_MATCH as u64 - 1)
-                .max(s_len as u64);
-            let stream_byte = |s: u64| -> u8 {
-                if s < stream_len {
-                    win[(s - drained) as usize]
-                } else {
-                    input[(s - stream_len) as usize]
-                }
+            let next = if len >= MIN_MATCH {
+                put_literal(&mut out, &buf[literal_start..pos]);
+                out.put_u8(0x01);
+                put_varint(&mut out, (pos - src) as u64);
+                put_varint(&mut out, len as u64);
+                literal_start = pos + len;
+                pos + len
+            } else {
+                pos + 1
             };
-            for s in lo..=(stream_end - MIN_MATCH as u64) {
-                let key = [
-                    stream_byte(s),
-                    stream_byte(s + 1),
-                    stream_byte(s + 2),
-                    stream_byte(s + 3),
-                ];
-                history.entry(key).or_default().push_back(s);
+            // The rest of a match becomes searchable too.
+            for p in pos + 1..next.min(gram_end) {
+                index.push(gram(buf, p), p as u64 + drained, hist_start);
             }
+            pos = next;
         }
+        put_literal(&mut out, &buf[literal_start..]);
 
-        self.window.extend(input);
-        self.drained = stream_end - self.window.buf.len() as u64;
-        // Amortized memory bound: whenever another full window's worth of
-        // history has drained, sweep the stale positions everywhere.
+        self.drained += self.window.trim() as u64;
+        // Memory bound: whenever another full window's worth of history
+        // has drained, drop the keys that left it.
         if self.drained - self.pruned_at >= MAX_HISTORY as u64 {
-            let live_from = s_len as u64 + self.drained;
-            self.history.retain(|_, dq| {
-                while dq.front().is_some_and(|&s| s < live_from) {
-                    dq.pop_front();
-                }
-                !dq.is_empty()
-            });
+            self.index.sweep(s_len as u64 + self.drained);
             self.pruned_at = self.drained;
         }
 
@@ -400,9 +493,6 @@ impl std::error::Error for DecompressError {}
 #[derive(Debug)]
 pub struct Decompressor {
     window: Window,
-    /// Reusable plaintext buffer; match sources address the conceptual
-    /// `window ++ out` space without cloning the window per block.
-    out: Vec<u8>,
 }
 
 impl Default for Decompressor {
@@ -411,61 +501,67 @@ impl Default for Decompressor {
     }
 }
 
+/// Decode `data`, appending the plaintext to `buf` (the window), whose
+/// whole contents are the match-source space.
+fn decode_into(buf: &mut Vec<u8>, data: &[u8]) -> Result<(), DecompressError> {
+    let mut pos = 0usize;
+    while pos < data.len() {
+        let tag = data[pos];
+        pos += 1;
+        match tag {
+            0x00 => {
+                let len = get_varint(data, &mut pos)
+                    .ok_or_else(|| DecompressError("truncated literal len".into()))?;
+                let body = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| data.get(pos..pos.checked_add(len)?))
+                    .ok_or_else(|| DecompressError("truncated literal body".into()))?;
+                buf.extend_from_slice(body);
+                pos += body.len();
+            }
+            0x01 => {
+                let dist = get_varint(data, &mut pos)
+                    .ok_or_else(|| DecompressError("truncated match dist".into()))?;
+                let len = get_varint(data, &mut pos)
+                    .ok_or_else(|| DecompressError("truncated match len".into()))?;
+                if dist == 0 || dist > buf.len() as u64 || len > MAX_MATCH as u64 {
+                    return Err(DecompressError(format!("bad match dist={dist} len={len}")));
+                }
+                let (dist, len) = (dist as usize, len as usize);
+                let start = buf.len() - dist;
+                if len <= dist {
+                    buf.extend_from_within(start..start + len);
+                } else {
+                    // An overlapping match repeats its own output.
+                    for i in start..start + len {
+                        buf.push(buf[i]);
+                    }
+                }
+            }
+            other => return Err(DecompressError(format!("bad token {other}"))),
+        }
+    }
+    Ok(())
+}
+
 impl Decompressor {
     /// A decompressor primed with the static dictionary.
     pub fn new() -> Decompressor {
         Decompressor {
             window: Window::new(),
-            out: Vec::new(),
         }
     }
 
-    /// Decompress one block, updating the shared window.
+    /// Decompress one block, updating the shared window. A rejected block
+    /// leaves the window as it was.
     pub fn decompress(&mut self, data: &[u8]) -> Result<Bytes, DecompressError> {
         let base = self.window.buf.len();
-        self.out.clear();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let tag = data[pos];
-            pos += 1;
-            match tag {
-                0x00 => {
-                    let len = get_varint(data, &mut pos)
-                        .ok_or_else(|| DecompressError("truncated literal len".into()))?
-                        as usize;
-                    if pos + len > data.len() {
-                        return Err(DecompressError("truncated literal body".into()));
-                    }
-                    self.out.extend_from_slice(&data[pos..pos + len]);
-                    pos += len;
-                }
-                0x01 => {
-                    let dist = get_varint(data, &mut pos)
-                        .ok_or_else(|| DecompressError("truncated match dist".into()))?
-                        as usize;
-                    let len = get_varint(data, &mut pos)
-                        .ok_or_else(|| DecompressError("truncated match len".into()))?
-                        as usize;
-                    if dist == 0 || dist > base + self.out.len() || len > MAX_MATCH {
-                        return Err(DecompressError(format!("bad match dist={dist} len={len}")));
-                    }
-                    // Byte-by-byte copy supports overlapping matches.
-                    let start = base + self.out.len() - dist;
-                    for i in 0..len {
-                        let p = start + i;
-                        let b = if p < base {
-                            self.window.buf[p]
-                        } else {
-                            self.out[p - base]
-                        };
-                        self.out.push(b);
-                    }
-                }
-                other => return Err(DecompressError(format!("bad token {other}"))),
-            }
+        if let Err(e) = decode_into(&mut self.window.buf, data) {
+            self.window.buf.truncate(base);
+            return Err(e);
         }
-        let plain = Bytes::copy_from_slice(&self.out);
-        self.window.extend(&plain);
+        let plain = Bytes::copy_from_slice(&self.window.buf[base..]);
+        self.window.trim();
         Ok(plain)
     }
 }
@@ -473,6 +569,7 @@ impl Decompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(blocks: &[&[u8]]) {
         let mut c = Compressor::new();
@@ -565,6 +662,25 @@ mod tests {
         assert!(d.decompress(&[0x01, 0x00, 0x05]).is_err(), "zero distance");
         assert!(d.decompress(&[0x00, 0xFF]).is_err(), "truncated literal");
         assert!(d.decompress(&[0x07]).is_err(), "unknown token");
+        // A literal length near u64::MAX must not overflow `pos + len`.
+        let mut huge = vec![0x00];
+        huge.extend([0xFF; 9]);
+        huge.push(0x01);
+        assert!(d.decompress(&huge).is_err(), "literal len u64::MAX");
+        huge[1] = 0xFD;
+        huge.extend([b'x'; 8]);
+        assert!(d.decompress(&huge).is_err(), "literal len u64::MAX - 2");
+        // Match lengths and distances near u64::MAX are refused too.
+        let mut far = vec![0x01];
+        far.extend([0xFF; 9]);
+        far.extend([0x01, 0x04]);
+        assert!(d.decompress(&far).is_err(), "match dist u64::MAX");
+        // Rejected blocks leave the window untouched, even when they
+        // decoded some plaintext before the bad token.
+        assert!(d.decompress(&[0x00, 0x02, b'a', b'b', 0x07]).is_err());
+        let mut c = Compressor::new();
+        let block = b"accept-encoding: gzip, accept-encoding: gzip";
+        assert_eq!(&d.decompress(&c.compress(block)).unwrap()[..], &block[..]);
     }
 
     /// The original clone-and-rebuild compressor, kept verbatim as an
@@ -662,7 +778,8 @@ mod tests {
                 put_varint(&mut out, lit.len() as u64);
                 out.put_slice(lit);
             }
-            self.window.extend(input);
+            self.window.buf.extend_from_slice(input);
+            self.window.trim();
             out.freeze()
         }
     }
@@ -731,6 +848,255 @@ mod tests {
         match d.decompress(&second) {
             Err(_) => {}
             Ok(plain) => assert_ne!(&plain[..], &block[..]),
+        }
+    }
+
+    /// The ring-linked index offers exactly the live positions a plain
+    /// list would, oldest 32 first, whether a stale head's slot is still
+    /// intact (forward walk), was reused (backward walk from the tail) or
+    /// was dropped when the ring grew.
+    #[test]
+    fn gram_index_matches_a_plain_position_list() {
+        let mut rng = TestRng::from_seed(0x5eed);
+        let mut index = GramIndex::default();
+        let mut plain: Vec<(u32, u64)> = Vec::new();
+        let mut live_from = 0u64;
+        for s in 0..60_000u64 {
+            // The live span breathes between 1 Ki and 12 Ki positions, so
+            // the ring both grows and laps stale heads.
+            let span = 1024 + (s / 7_000 % 4) * 3_700;
+            live_from = live_from.max((s + 1).saturating_sub(span));
+            index.reserve(live_from, s + 1 - live_from);
+            // Key 0 recurs often, key 1 now and then, the rest rarely.
+            let key = match rng.below(100) {
+                0..=29 => 0,
+                30 => 1,
+                _ => 2 + rng.below(5_000) as u32,
+            };
+            index.push(key, s, live_from);
+            plain.push((key, s));
+            // Key 1 is searched so rarely that its head's slot is reused.
+            let probe = match (s % 20_000, rng.below(50)) {
+                (19_999, _) => Some(1),
+                (_, 0) => Some(rng.below(3) as u32 * 2),
+                _ => None,
+            };
+            if let Some(key) = probe {
+                let mut got = Vec::new();
+                index.collect(key, live_from, &(0..0), 0, &mut got);
+                let want: Vec<usize> = plain
+                    .iter()
+                    .filter(|&&(k, p)| k == key && p >= live_from)
+                    .map(|&(_, p)| p as usize)
+                    .take(MAX_CANDIDATES)
+                    .collect();
+                assert_eq!(got, want, "key {key} at {s}, live from {live_from}");
+            }
+            if s % 16_384 == 0 {
+                index.sweep(live_from);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Oracle property suite: generated header-like sessions must compress
+    // byte-for-byte as the reference does, and round-trip.
+    // ------------------------------------------------------------------
+
+    /// Cases per property: the full count in release builds, fewer where
+    /// debug assertions make the rebuild-per-block reference slow.
+    fn cases() -> u32 {
+        if cfg!(debug_assertions) {
+            32
+        } else {
+            256
+        }
+    }
+
+    fn pick<'a>(rng: &mut TestRng, items: &[&'a str]) -> &'a str {
+        items[rng.below(items.len() as u64) as usize]
+    }
+
+    /// `name: value` lines shaped like a browser request or a reply.
+    fn header_lines(rng: &mut TestRng, out: &mut Vec<u8>) {
+        const NAMES: [&str; 9] = [
+            ":method",
+            ":host",
+            ":path",
+            ":scheme",
+            ":status",
+            "user-agent",
+            "accept-encoding",
+            "cookie",
+            "content-type",
+        ];
+        const VALUES: [&str; 7] = [
+            "GET",
+            "https",
+            "gzip,deflate,sdch",
+            "text/html,application/xhtml+xml",
+            "200 OK",
+            "Mozilla/5.0 (Windows NT 6.1) AppleWebKit/537.11",
+            "HTTP/1.1",
+        ];
+        for _ in 0..1 + rng.below(8) {
+            out.extend_from_slice(pick(rng, &NAMES).as_bytes());
+            out.extend_from_slice(b": ");
+            match rng.below(3) {
+                0 => out.extend_from_slice(pick(rng, &VALUES).as_bytes()),
+                1 => out.extend_from_slice(
+                    format!("cdn{}.site{}.example", rng.below(4), rng.below(20)).as_bytes(),
+                ),
+                _ => out.extend_from_slice(
+                    format!("/o{}.png?sid={:x}", rng.below(500), rng.next_u64()).as_bytes(),
+                ),
+            }
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+
+    /// One generated block. Besides header text the shapes cover the
+    /// index's edge cases: blocks shorter than `MIN_MATCH`, blocks larger
+    /// than `MAX_HISTORY`, a gram repeated past the 32-candidate cap, and
+    /// runs reaching `MAX_MATCH`.
+    fn gen_block(rng: &mut TestRng) -> Vec<u8> {
+        let mut b = Vec::new();
+        match rng.below(8) {
+            0..=2 => header_lines(rng, &mut b),
+            3 => b.extend((0..rng.below(MIN_MATCH as u64)).map(|_| b'a' + rng.below(3) as u8)),
+            4 => {
+                while b.len() < MAX_HISTORY + rng.below(4096) as usize {
+                    header_lines(rng, &mut b);
+                    b.extend((0..rng.below(64)).map(|_| rng.next_u64() as u8));
+                }
+            }
+            5 => {
+                let stem = pick(rng, &["xyzw", "cookie: sid=", "aaaa"]);
+                for _ in 0..MAX_CANDIDATES as u64 + 1 + rng.below(48) {
+                    b.extend_from_slice(stem.as_bytes());
+                    b.extend_from_slice(format!("{}", rng.below(100)).as_bytes());
+                }
+            }
+            6 => {
+                let run = MAX_MATCH + rng.below(2 * MAX_MATCH as u64) as usize;
+                if rng.below(2) == 0 {
+                    b.resize(run, b'a' + rng.below(3) as u8);
+                } else {
+                    let seg: Vec<u8> = (0..run).map(|_| b'a' + rng.below(4) as u8).collect();
+                    b.extend_from_slice(&seg);
+                    b.extend_from_slice(&seg);
+                }
+            }
+            _ => {
+                let alphabet = 2 + rng.below(254);
+                b.extend((0..rng.below(600)).map(|_| rng.below(alphabet) as u8));
+            }
+        }
+        b
+    }
+
+    /// A session's blocks; half start with fewer than three history
+    /// bytes, so the boundary grams of a fresh window are exercised.
+    fn gen_session(seed: u64) -> Vec<Vec<u8>> {
+        let mut rng = TestRng::from_seed(seed);
+        let mut blocks = Vec::new();
+        if rng.below(2) == 0 {
+            blocks.push((0..rng.below(3)).map(|_| rng.next_u64() as u8).collect());
+        }
+        for _ in 0..1 + rng.below(10) {
+            blocks.push(gen_block(&mut rng));
+        }
+        blocks
+    }
+
+    fn assert_matches_reference(blocks: &[Vec<u8>]) {
+        let mut c = Compressor::new();
+        let mut reference = ReferenceCompressor::new();
+        let mut d = Decompressor::new();
+        for (i, block) in blocks.iter().enumerate() {
+            let z = c.compress(block);
+            assert_eq!(
+                z,
+                reference.compress(block),
+                "block {i} (len {})",
+                block.len()
+            );
+            assert_eq!(&d.decompress(&z).expect("in sync")[..], &block[..]);
+        }
+    }
+
+    #[test]
+    fn reference_oracle_edge_cases() {
+        let header = b"get /o1.png\r\nhost: site1.example\r\naccept-encoding: gzip\r\n".to_vec();
+        // A fresh session whose history is 0, 1 or 2 bytes long.
+        for n in 0..3 {
+            assert_matches_reference(&[vec![b'g'; n], header.clone(), header.clone()]);
+        }
+        // Blocks shorter than MIN_MATCH between real ones.
+        assert_matches_reference(&[
+            header.clone(),
+            b"ge".to_vec(),
+            b"t /".to_vec(),
+            header.clone(),
+        ]);
+        // One gram at more than 32 positions with distinct continuations:
+        // the newest occurrence is outside the oldest-32 cap.
+        let mut repeated = Vec::new();
+        for i in 0..60 {
+            repeated.extend_from_slice(format!("xyzw{i:03};").as_bytes());
+        }
+        assert_matches_reference(&[repeated.clone(), b"xyzw059;xyzw000;".to_vec(), repeated]);
+        // Runs at and past MAX_MATCH, within and across blocks.
+        let run = vec![b'r'; 3 * MAX_MATCH + 7];
+        assert_matches_reference(&[run.clone(), run[..MAX_MATCH].to_vec(), run]);
+        // Blocks larger than MAX_HISTORY drain the whole history at once.
+        let big: Vec<u8> = (0..MAX_HISTORY as u64 + 999)
+            .map(|i| {
+                if i % 97 < 60 {
+                    header[i as usize % header.len()]
+                } else {
+                    mix(i)
+                }
+            })
+            .collect();
+        assert_matches_reference(&[header.clone(), big.clone(), header, big]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Generated sessions compress exactly as the reference does.
+        #[test]
+        fn compressor_matches_reference_oracle(seed in any::<u64>()) {
+            assert_matches_reference(&gen_session(seed));
+        }
+
+        /// Bit-flipped or truncated blocks never panic the decompressor,
+        /// and a rejected block leaves the window in sync.
+        #[test]
+        fn corrupt_blocks_never_panic(seed in any::<u64>(), pick_at in any::<u64>()) {
+            let blocks = gen_session(seed);
+            let mut c = Compressor::new();
+            let wire: Vec<Bytes> = blocks.iter().map(|b| c.compress(b)).collect();
+            let k = (pick_at % blocks.len() as u64) as usize;
+            let mut d = Decompressor::new();
+            for z in &wire[..k] {
+                d.decompress(z).expect("in sync");
+            }
+            let mut rng = TestRng::from_seed(seed ^ pick_at);
+            let mut bad = wire[k].to_vec();
+            if !bad.is_empty() {
+                for _ in 0..1 + rng.below(3) {
+                    let bit = rng.below(8 * bad.len() as u64);
+                    bad[(bit / 8) as usize] ^= 1 << (bit % 8);
+                }
+                if rng.below(2) == 0 {
+                    bad.truncate(rng.below(bad.len() as u64) as usize);
+                }
+            }
+            if d.decompress(&bad).is_err() {
+                prop_assert_eq!(&d.decompress(&wire[k]).expect("window untouched")[..], &blocks[k][..]);
+            }
         }
     }
 }
