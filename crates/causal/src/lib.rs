@@ -11,10 +11,13 @@
 //! The paper's headline — SPDY's single connection magnifies TCP RTO
 //! stalls under 3G RRC transitions — is a critical-path statement: a
 //! stall only hurts PLT when it sits on the load's dependency chain.
-//! The stall attributor (`spdyier-core`) decomposes wall time into
-//! layer buckets; this crate answers the sharper question of *which*
-//! stalls gated the load, and, across two cells (HTTP vs SPDY,
-//! mitigation on vs off), *which edges the PLT delta came from*.
+//! One engine answers both forms of the question. The **stall table**
+//! ([`stall_breakdowns`]) decomposes each visit's whole window into
+//! layer buckets; the critical path answers the sharper question of
+//! *which* stalls gated the load, and, across two cells (HTTP vs SPDY,
+//! mitigation on vs off), *which edges the PLT delta came from*. Both
+//! read the intervals of one [`EventModel`] and carve them with one
+//! boundary sweep, so they cannot drift apart.
 //!
 //! ```
 //! use spdyier_causal::{critical_paths_from_records, diff_paths};
@@ -34,6 +37,7 @@ pub mod diff;
 pub mod model;
 pub mod parse;
 pub mod path;
+pub mod stalls;
 
 pub use diff::{diff_paths, DiffReport, VisitDiff, DIFF_SCHEMA_VERSION};
 pub use model::{ConnBinding, EventModel, Interval, ObjectInstants, VisitWindow};
@@ -42,3 +46,4 @@ pub use path::{
     critical_paths, critical_paths_from_records, explain_json, explain_text, rollup_us,
     CriticalPath, EdgeKind, PathEdge, EDGE_KINDS, EXPLAIN_SCHEMA_VERSION,
 };
+pub use stalls::{stall_breakdowns, StallBreakdown};

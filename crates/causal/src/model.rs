@@ -1,5 +1,6 @@
 //! The event model: one linear scan of a trace's records into the typed
-//! lookup tables the critical-path extractor walks.
+//! lookup tables the critical-path extractor and the stall table read.
+//! This is the only place trace records become time intervals.
 //!
 //! Everything is keyed the way the flight recorder already keys it —
 //! visit index, object tag, connection (pipe) index — and every time is
@@ -28,6 +29,9 @@ pub struct VisitWindow {
     pub start_us: u64,
     /// Window end, µs (`start + plt_us` from the `VisitEnd` record).
     pub end_us: u64,
+    /// Whether a `VisitEnd` record closed the window (an unclosed window
+    /// keeps `end_us == start_us`).
+    pub ended: bool,
 }
 
 /// Boundary instants of one object fetch inside a visit.
@@ -112,6 +116,7 @@ impl EventModel {
                         completed: false,
                         start_us: t,
                         end_us: t,
+                        ended: false,
                     });
                 }
                 TraceEvent::VisitEnd {
@@ -125,6 +130,7 @@ impl EventModel {
                     if let Some(w) = m.windows.iter_mut().rev().find(|w| w.visit == *visit) {
                         w.completed = *completed;
                         w.end_us = w.start_us + plt_us;
+                        w.ended = true;
                     }
                 }
                 TraceEvent::ObjectRequested { visit, object } => {

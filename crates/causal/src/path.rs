@@ -1,13 +1,15 @@
-//! Exact per-visit critical-path extraction.
+//! Exact per-visit critical-path extraction, and the one boundary sweep
+//! every PLT decomposition in the workspace runs.
 //!
 //! The extractor walks one visit's dependency spine backwards from the
 //! last-completing object — each spine step is "this fetch could not
 //! have been issued before its predecessor finished" — then carves every
-//! spine segment into typed edges with the same boundary-sweep the stall
-//! attributor uses. The edges tile the `[VisitStart, VisitStart + plt]`
-//! window with no gaps and no overlaps, so their durations sum to the
-//! PLT *exactly*: conservation is by construction, mirroring
-//! `attribute_stalls`.
+//! spine segment into typed edges with `sweep`. The edges tile the
+//! `[VisitStart, VisitStart + plt]` window with no gaps and no overlaps,
+//! so their durations sum to the PLT *exactly*: conservation is by
+//! construction. The window-wide stall table
+//! ([`crate::stalls::stall_breakdowns`]) is the same sweep over the
+//! whole window with no connection filter.
 //!
 //! Segment taxonomy:
 //!
@@ -78,12 +80,10 @@ impl EdgeKind {
         }
     }
 
-    /// Index into [`EDGE_KINDS`]-ordered arrays.
+    /// Index into [`EDGE_KINDS`]-ordered arrays: the enum is declared in
+    /// that order, so the discriminant is the index.
     pub fn index(self) -> usize {
-        EDGE_KINDS
-            .iter()
-            .position(|&k| k == self)
-            .expect("kind listed")
+        self as usize
     }
 }
 
@@ -311,7 +311,7 @@ fn push_edge(
 
 /// Clip `intervals` to `[a, b)`, keeping only those on `conn` (or all,
 /// when `conn` is `None`), and tag them with `priority`.
-fn clipped(
+pub(crate) fn clipped(
     out: &mut Vec<(u64, u64, usize)>,
     intervals: &[Interval],
     a: u64,
@@ -334,14 +334,20 @@ fn clipped(
 
 /// The (object, connection) attribution every edge of one sweep shares.
 #[derive(Debug, Clone, Copy)]
-struct EdgeCtx {
-    object: Option<u32>,
-    conn: Option<usize>,
+pub(crate) struct EdgeCtx {
+    pub(crate) object: Option<u32>,
+    pub(crate) conn: Option<usize>,
 }
 
-/// Boundary-sweep `[a, b)` against prioritized intervals; elementary
-/// segments covered by no interval go to `default(segment)`.
-fn sweep(
+/// Boundary-sweep `[a, b)` against prioritized intervals `(s, e, p)`
+/// (`kinds[p]` names priority `p`; a lower `p` wins an overlap).
+///
+/// The boundary points are `{a, b}` plus every interval endpoint. Each
+/// elementary segment between consecutive points becomes one edge: the
+/// kind of the winning interval covering it, or `default(segment)` when
+/// none does. One pass over the sorted starts and ends keeps a count of
+/// open intervals per priority, so the sweep is O(n log n).
+pub(crate) fn sweep(
     edges: &mut Vec<PathEdge>,
     a: u64,
     b: u64,
@@ -350,20 +356,40 @@ fn sweep(
     ctx: EdgeCtx,
     default: impl Fn(u64, u64) -> EdgeKind,
 ) {
-    let mut points: Vec<u64> = vec![a, b];
-    for &(s, e, _) in intervals {
+    let mut points: Vec<u64> = Vec::with_capacity(2 * intervals.len() + 2);
+    points.extend([a, b]);
+    let mut starts: Vec<(u64, usize)> = Vec::with_capacity(intervals.len());
+    let mut ends: Vec<(u64, usize)> = Vec::with_capacity(intervals.len());
+    for &(s, e, p) in intervals {
         points.push(s);
         points.push(e);
+        // An empty interval adds boundary points but covers nothing.
+        if s < e {
+            starts.push((s, p));
+            ends.push((e, p));
+        }
     }
     points.sort_unstable();
     points.dedup();
+    starts.sort_unstable();
+    ends.sort_unstable();
+    let mut open = vec![0u32; kinds.len()];
+    let (mut next_start, mut next_end) = (0, 0);
     for pair in points.windows(2) {
         let (s, e) = (pair[0], pair[1]);
-        let kind = intervals
+        // Every endpoint is a boundary point, so an interval covers
+        // `[s, e)` exactly when it is open at `s`.
+        while next_start < starts.len() && starts[next_start].0 <= s {
+            open[starts[next_start].1] += 1;
+            next_start += 1;
+        }
+        while next_end < ends.len() && ends[next_end].0 <= s {
+            open[ends[next_end].1] -= 1;
+            next_end += 1;
+        }
+        let kind = open
             .iter()
-            .filter(|&&(is, ie, _)| is <= s && ie >= e)
-            .map(|&(_, _, p)| p)
-            .min()
+            .position(|&n| n > 0)
             .map_or_else(|| default(s, e), |p| kinds[p]);
         push_edge(edges, s, e, kind, ctx.object, ctx.conn);
     }
@@ -528,6 +554,7 @@ impl serde::Serialize for ValueDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spdyier_sim::SimTime;
     use spdyier_trace::{TraceEvent, TraceLevel, Tracer};
 
@@ -769,5 +796,107 @@ mod tests {
         assert_eq!(v["visits"][0]["plt_us"].as_u64(), Some(6_400));
         let text = explain_text("spdy", &paths);
         assert!(text.contains("visit  0"), "{text}");
+    }
+
+    #[test]
+    fn edge_kind_index_is_its_position_in_edge_kinds() {
+        for k in EDGE_KINDS {
+            assert_eq!(EDGE_KINDS[k.index()], k);
+        }
+    }
+
+    /// Pins a known defect, not the intended behaviour: the sweep never
+    /// makes an object's first-byte instant a boundary point, so an
+    /// uncovered segment that straddles it is typed by its start alone.
+    /// Both spans of `chain_records` end in such a segment
+    /// (`[1900, 3000)` with first byte at 2500, `[5000, 6000)` with
+    /// first byte at 5600), so all 2,700 µs go to response wait; the
+    /// right split is 1,800 µs wait and 900 µs receive.
+    #[test]
+    fn first_byte_inside_an_uncovered_segment_is_not_a_boundary() {
+        let sums = critical_paths_from_records(&chain_records())[0].sums_us();
+        assert_eq!(sums[EdgeKind::ResponseWait.index()], 2_700);
+        assert_eq!(sums[EdgeKind::Receive.index()], 0);
+    }
+
+    /// The points × intervals sweep the endpoint sweep replaced: every
+    /// elementary segment tests every interval for coverage. Kept as the
+    /// oracle the property below checks [`sweep`] against.
+    fn reference_sweep(
+        edges: &mut Vec<PathEdge>,
+        a: u64,
+        b: u64,
+        intervals: &[(u64, u64, usize)],
+        kinds: &[EdgeKind],
+        ctx: EdgeCtx,
+        default: impl Fn(u64, u64) -> EdgeKind,
+    ) {
+        let mut points: Vec<u64> = vec![a, b];
+        for &(s, e, _) in intervals {
+            points.push(s);
+            points.push(e);
+        }
+        points.sort_unstable();
+        points.dedup();
+        for pair in points.windows(2) {
+            let (s, e) = (pair[0], pair[1]);
+            let kind = intervals
+                .iter()
+                .filter(|&&(is, ie, _)| is <= s && ie >= e)
+                .map(|&(_, _, p)| p)
+                .min()
+                .map_or_else(|| default(s, e), |p| kinds[p]);
+            push_edge(edges, s, e, kind, ctx.object, ctx.conn);
+        }
+    }
+
+    /// Cases per property: the full count in release builds.
+    fn cases() -> u32 {
+        if cfg!(debug_assertions) {
+            64
+        } else {
+            1_024
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// The endpoint sweep emits exactly the reference's edges. Points
+        /// come from a small range so intervals share endpoints, nest and
+        /// stack; lengths include zero; and the window `[a, a + len)`
+        /// leaves room for intervals wholly or partly outside it.
+        #[test]
+        fn endpoint_sweep_matches_the_reference(
+            raw in prop::collection::vec((0u64..64, 0u64..24, 0usize..5), 0..24),
+            a in 8u64..40,
+            len in 0u64..32,
+            fb in 0u64..80,
+        ) {
+            let intervals: Vec<(u64, u64, usize)> =
+                raw.iter().map(|&(s, l, p)| (s, s + l, p)).collect();
+            let kinds = [
+                EdgeKind::RtoRecovery,
+                EdgeKind::Promotion,
+                EdgeKind::Serialization,
+                EdgeKind::Queueing,
+                EdgeKind::ServerThink,
+            ];
+            let ctx = EdgeCtx {
+                object: Some(3),
+                conn: Some(1),
+            };
+            let default = |s: u64, _e: u64| {
+                if s < fb {
+                    EdgeKind::ResponseWait
+                } else {
+                    EdgeKind::Receive
+                }
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            sweep(&mut got, a, a + len, &intervals, &kinds, ctx, default);
+            reference_sweep(&mut want, a, a + len, &intervals, &kinds, ctx, default);
+            prop_assert_eq!(got, want);
+        }
     }
 }

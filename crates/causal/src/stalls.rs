@@ -1,35 +1,34 @@
-//! Stall attribution: decompose each visit's page-load time into the
+//! The stall table: each visit's page-load time decomposed into the
 //! intervals the flight recorder saw — radio promotion waits, RTO
 //! silences, link queueing, serialization, and origin think time.
 //!
-//! The attributor is a pure consumer of a [`FlightLog`]: it replays the
-//! event stream, turns the relevant events into typed time intervals,
-//! clips them to each visit's `[VisitStart, VisitStart + plt_us]`
-//! window, and sweeps the window's elementary segments once. Every
-//! microsecond of the window lands in exactly one category (overlaps
-//! resolve by a fixed priority), so the categories sum to the PLT
-//! *exactly* — conservation is by construction, not by rounding luck.
+//! It is the window-wide projection of the [`EventModel`]: per visit
+//! window, the model's interval sets are clipped to
+//! `[VisitStart, VisitStart + plt_us]` with no connection filter and
+//! run through the same boundary `sweep` the critical-path extractor
+//! uses. Every microsecond of the window lands in exactly one category
+//! (overlaps resolve by a fixed priority), so the categories sum to the
+//! PLT *exactly* — conservation is by construction, not by rounding luck.
 //!
 //! Category priority when intervals overlap (highest wins):
 //! RTO stall > promotion > serialization > queueing > server think.
 //! RTO silences rank first because they are the pathology the paper
 //! chases (§5.5, §5.7): a spurious timeout that fires *while* the
 //! radio is promoting is exactly the cross-layer interaction worth
-//! surfacing, so the attributor must not let the promotion swallow
-//! it — the promotion's remainder is still counted. A promotion
-//! stalls everything behind it, so it subsumes overlapping
-//! transmissions; serialization is "the link is genuinely busy with
-//! this byte", so it beats the softer queueing share. Note the
-//! queueing share of a segment's journey (`[sent, deliver - ser]`)
-//! includes propagation delay — the recorder cannot split the two
-//! without a per-hop model, and for stall hunting "waiting on the
-//! path" is the useful aggregate anyway.
+//! surfacing, so the table must not let the promotion swallow it — the
+//! promotion's remainder is still counted. A promotion stalls
+//! everything behind it, so it subsumes overlapping transmissions;
+//! serialization is "the link is genuinely busy with this byte", so it
+//! beats the softer queueing share. Note the queueing share of a
+//! segment's journey (`[sent, deliver - ser]`) includes propagation
+//! delay — the recorder cannot split the two without a per-hop model,
+//! and for stall hunting "waiting on the path" is the useful aggregate
+//! anyway.
 
-use crate::export::DataFile;
+use crate::model::EventModel;
+use crate::path::{clipped, sweep, EdgeCtx, EdgeKind, EDGE_KINDS};
 use serde::Serialize;
 use spdyier_sim::SimTime;
-use spdyier_trace::{FlightLog, TraceEvent};
-use std::fmt::Write as _;
 
 /// One visit's PLT decomposed into attributed stall categories.
 ///
@@ -75,152 +74,81 @@ impl StallBreakdown {
     }
 }
 
-/// Category indices in priority order (lower index wins on overlap).
-const RTO: usize = 0;
-const PROMOTION: usize = 1;
-const SERIALIZATION: usize = 2;
-const QUEUEING: usize = 3;
-const THINK: usize = 4;
-const CATEGORIES: usize = 5;
-
-/// Decompose every finished visit in `log` into a [`StallBreakdown`].
+/// Decompose every visit window a `VisitEnd` closed into a
+/// [`StallBreakdown`], in window order.
 ///
-/// Needs at least `Transport`-level events for promotions and RTO
+/// Needs at least `Transport`-level records for promotions and RTO
 /// stalls; serialization and queueing shares additionally need the
 /// `Full`-level `SegmentSent` records (they are zero otherwise).
-pub fn attribute_stalls(log: &FlightLog) -> Vec<StallBreakdown> {
-    // Pass 1: typed intervals, in microseconds, across the whole run.
-    let mut intervals: Vec<(u64, u64, usize)> = Vec::new();
-    // Visit windows: (visit, site, start_us, end_us).
-    let mut starts: Vec<(usize, usize, u64)> = Vec::new();
-    let mut windows: Vec<(usize, usize, u64, u64)> = Vec::new();
-    for rec in &log.events {
-        let t = rec.t.as_micros();
-        match &rec.event {
-            TraceEvent::VisitStart { visit, site } => starts.push((*visit, *site, t)),
-            TraceEvent::VisitEnd { visit, plt_us, .. } => {
-                if let Some(&(v, site, start)) = starts.iter().rev().find(|(v, ..)| v == visit) {
-                    windows.push((v, site, start, start + plt_us));
-                }
-            }
-            TraceEvent::RrcPromotion { start, done, .. } => {
-                intervals.push((start.as_micros(), done.as_micros(), PROMOTION));
-            }
-            TraceEvent::SegmentSent {
-                deliver, ser_us, ..
-            } => {
-                let deliver = deliver.as_micros();
-                let ser_start = deliver.saturating_sub(*ser_us);
-                intervals.push((ser_start, deliver, SERIALIZATION));
-                if t < ser_start {
-                    intervals.push((t, ser_start, QUEUEING));
-                }
-            }
-            TraceEvent::TcpRto { silent_since, .. } => {
-                intervals.push((silent_since.as_micros(), t, RTO));
-            }
-            TraceEvent::OriginThink { until, .. } => {
-                intervals.push((t, until.as_micros(), THINK));
-            }
-            _ => {}
-        }
-    }
-
-    // Pass 2: per visit, clip + boundary-sweep.
-    let mut out = Vec::with_capacity(windows.len());
-    for (visit, site, vs, ve) in windows {
-        let clipped: Vec<(u64, u64, usize)> = intervals
-            .iter()
-            .filter_map(|&(a, b, c)| {
-                let (a, b) = (a.max(vs), b.min(ve));
-                (a < b).then_some((a, b, c))
-            })
-            .collect();
-        let mut points: Vec<u64> = vec![vs, ve];
-        for &(a, b, _) in &clipped {
-            points.push(a);
-            points.push(b);
-        }
-        points.sort_unstable();
-        points.dedup();
-        let mut sums = [0u64; CATEGORIES];
-        let mut other = 0u64;
-        for w in points.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let cat = clipped
-                .iter()
-                .filter(|&&(s, e, _)| s <= a && e >= b)
-                .map(|&(_, _, c)| c)
-                .min();
-            match cat {
-                Some(c) => sums[c] += b - a,
-                None => other += b - a,
-            }
+pub fn stall_breakdowns(model: &EventModel) -> Vec<StallBreakdown> {
+    // Priority p is kinds[p]; uncovered time is "other".
+    let kinds = [
+        EdgeKind::RtoRecovery,
+        EdgeKind::Promotion,
+        EdgeKind::Serialization,
+        EdgeKind::Queueing,
+        EdgeKind::ServerThink,
+    ];
+    let ctx = EdgeCtx {
+        object: None,
+        conn: None,
+    };
+    let mut ivs = Vec::new();
+    let mut edges = Vec::new();
+    let mut out = Vec::new();
+    for w in model.windows.iter().filter(|w| w.ended) {
+        let (a, b) = (w.start_us, w.end_us);
+        ivs.clear();
+        clipped(&mut ivs, &model.rto, a, b, None, 0);
+        clipped(&mut ivs, &model.promotions, a, b, None, 1);
+        clipped(&mut ivs, &model.serialization, a, b, None, 2);
+        clipped(&mut ivs, &model.queueing, a, b, None, 3);
+        clipped(&mut ivs, &model.think, a, b, None, 4);
+        edges.clear();
+        sweep(&mut edges, a, b, &ivs, &kinds, ctx, |_, _| EdgeKind::Parse);
+        let mut sums = [0u64; EDGE_KINDS.len()];
+        for e in &edges {
+            sums[e.kind.index()] += e.duration_us();
         }
         out.push(StallBreakdown {
-            visit,
-            site,
-            start: SimTime::from_micros(vs),
-            end: SimTime::from_micros(ve),
-            promotion_us: sums[PROMOTION],
-            serialization_us: sums[SERIALIZATION],
-            queueing_us: sums[QUEUEING],
-            rto_stall_us: sums[RTO],
-            server_think_us: sums[THINK],
-            other_us: other,
+            visit: w.visit,
+            site: w.site,
+            start: SimTime::from_micros(a),
+            end: SimTime::from_micros(b),
+            promotion_us: sums[EdgeKind::Promotion.index()],
+            serialization_us: sums[EdgeKind::Serialization.index()],
+            queueing_us: sums[EdgeKind::Queueing.index()],
+            rto_stall_us: sums[EdgeKind::RtoRecovery.index()],
+            server_think_us: sums[EdgeKind::ServerThink.index()],
+            other_us: sums[EdgeKind::Parse.index()],
         });
     }
     out
 }
 
-/// Render breakdowns as a plotter-friendly column file
-/// (`stalls_<label>.dat`), milliseconds per category.
-pub fn stall_file(label: &str, breakdowns: &[StallBreakdown]) -> DataFile {
-    let mut s = String::from(
-        "# visit site plt_ms promotion_ms serialization_ms queueing_ms rto_ms think_ms other_ms\n",
-    );
-    let ms = |us: u64| us as f64 / 1e3;
-    for b in breakdowns {
-        let _ = writeln!(
-            s,
-            "{} {} {:.3} {:.3} {:.3} {:.3} {:.3} {:.3} {:.3}",
-            b.visit + 1,
-            b.site,
-            ms(b.plt_us()),
-            ms(b.promotion_us),
-            ms(b.serialization_us),
-            ms(b.queueing_us),
-            ms(b.rto_stall_us),
-            ms(b.server_think_us),
-            ms(b.other_us),
-        );
-    }
-    DataFile {
-        name: format!("stalls_{}.dat", label.to_lowercase()),
-        contents: s,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spdyier_trace::{TraceLevel, Tracer};
+    use crate::path::critical_paths;
+    use spdyier_trace::{TraceEvent, TraceLevel, Tracer};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    fn log_with(events: Vec<(u64, TraceEvent)>) -> FlightLog {
+    fn stalls_of(events: Vec<(u64, TraceEvent)>) -> (EventModel, Vec<StallBreakdown>) {
         let mut tr = Tracer::for_level(TraceLevel::Full);
         for (at, ev) in events {
             tr.emit(t(at), ev);
         }
-        tr.finish()
+        let model = EventModel::from_records(&tr.finish().events);
+        let stalls = stall_breakdowns(&model);
+        (model, stalls)
     }
 
     #[test]
     fn categories_conserve_plt_exactly() {
-        let log = log_with(vec![
+        let (_, stalls) = stalls_of(vec![
             (0, TraceEvent::VisitStart { visit: 0, site: 1 }),
             (
                 100,
@@ -266,7 +194,6 @@ mod tests {
                 },
             ),
         ]);
-        let stalls = attribute_stalls(&log);
         assert_eq!(stalls.len(), 1);
         let b = &stalls[0];
         assert_eq!(b.plt_us(), 5_000);
@@ -284,7 +211,7 @@ mod tests {
 
     #[test]
     fn rto_silence_is_not_swallowed_by_an_overlapping_promotion() {
-        let log = log_with(vec![
+        let (_, stalls) = stalls_of(vec![
             (0, TraceEvent::VisitStart { visit: 0, site: 1 }),
             (
                 0,
@@ -312,7 +239,7 @@ mod tests {
                 },
             ),
         ]);
-        let b = &attribute_stalls(&log)[0];
+        let b = &stalls[0];
         assert_eq!(b.rto_stall_us, 1_000, "the RTO silence wins the overlap");
         assert_eq!(b.promotion_us, 1_000, "the promotion keeps its remainder");
         assert_eq!(b.attributed_us(), 3_000);
@@ -320,7 +247,7 @@ mod tests {
 
     #[test]
     fn intervals_clip_to_the_visit_window() {
-        let log = log_with(vec![
+        let (_, stalls) = stalls_of(vec![
             (
                 0,
                 TraceEvent::RrcPromotion {
@@ -339,14 +266,13 @@ mod tests {
                 },
             ),
         ]);
-        let stalls = attribute_stalls(&log);
         assert_eq!(stalls[0].promotion_us, 500, "only the in-window tail");
         assert_eq!(stalls[0].attributed_us(), 1_000);
     }
 
     #[test]
-    fn stall_file_has_header_and_one_row_per_visit() {
-        let log = log_with(vec![
+    fn an_unclosed_window_has_no_stall_row_but_keeps_its_path() {
+        let (model, stalls) = stalls_of(vec![
             (0, TraceEvent::VisitStart { visit: 0, site: 1 }),
             (
                 1_000,
@@ -356,10 +282,13 @@ mod tests {
                     plt_us: 1_000,
                 },
             ),
+            // The run stopped before this visit's VisitEnd.
+            (2_000, TraceEvent::VisitStart { visit: 1, site: 4 }),
         ]);
-        let f = stall_file("spdy", &attribute_stalls(&log));
-        assert_eq!(f.name, "stalls_spdy.dat");
-        assert!(f.contents.starts_with("# visit site plt_ms"));
-        assert_eq!(f.contents.lines().count(), 2);
+        assert_eq!(stalls.len(), 1);
+        assert_eq!(stalls[0].visit, 0);
+        let paths = critical_paths(&model);
+        assert_eq!(paths.len(), 2, "the critical path keeps every window");
+        assert_eq!((paths[1].visit, paths[1].plt_us()), (1, 0));
     }
 }

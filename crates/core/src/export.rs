@@ -4,8 +4,9 @@
 
 use crate::results::RunResult;
 use serde::Serialize;
+use spdyier_causal::{stall_breakdowns, EventModel, StallBreakdown};
 use spdyier_sim::{SimDuration, SimTime};
-use spdyier_trace::MetricsRegistry;
+use spdyier_trace::{FlightLog, MetricsRegistry};
 use std::fmt::Write as _;
 
 /// One exported data file: a name and whitespace-separated columns with a
@@ -178,6 +179,41 @@ fn cwnd_file(label: &str, trace: &spdyier_tcp::TcpTrace) -> DataFile {
     }
 }
 
+/// Decompose every finished visit in `log` into a [`StallBreakdown`]:
+/// the stall table of the causal event model (see
+/// [`spdyier_causal::stalls`]).
+pub fn attribute_stalls(log: &FlightLog) -> Vec<StallBreakdown> {
+    stall_breakdowns(&EventModel::from_records(&log.events))
+}
+
+/// Render breakdowns as a plotter-friendly column file
+/// (`stalls_<label>.dat`), milliseconds per category.
+pub fn stall_file(label: &str, breakdowns: &[StallBreakdown]) -> DataFile {
+    let mut s = String::from(
+        "# visit site plt_ms promotion_ms serialization_ms queueing_ms rto_ms think_ms other_ms\n",
+    );
+    let ms = |us: u64| us as f64 / 1e3;
+    for b in breakdowns {
+        let _ = writeln!(
+            s,
+            "{} {} {:.3} {:.3} {:.3} {:.3} {:.3} {:.3} {:.3}",
+            b.visit + 1,
+            b.site,
+            ms(b.plt_us()),
+            ms(b.promotion_us),
+            ms(b.serialization_us),
+            ms(b.queueing_us),
+            ms(b.rto_stall_us),
+            ms(b.server_think_us),
+            ms(b.other_us),
+        );
+    }
+    DataFile {
+        name: format!("stalls_{}.dat", label.to_lowercase()),
+        contents: s,
+    }
+}
+
 /// Write the files to `dir`, returning the paths written.
 pub fn write_to_dir(
     files: &[DataFile],
@@ -198,6 +234,7 @@ mod tests {
     use super::*;
     use crate::config::{ExperimentConfig, NetworkKind, ProtocolMode};
     use crate::driver::run_experiment;
+    use spdyier_trace::{TraceEvent, TraceLevel, Tracer};
     use spdyier_workload::VisitSchedule;
 
     fn small_run(traces: bool) -> RunResult {
@@ -209,6 +246,24 @@ mod tests {
             ));
         cfg.record_traces = traces;
         run_experiment(cfg)
+    }
+
+    #[test]
+    fn stall_file_has_header_and_one_row_per_visit() {
+        let mut tr = Tracer::for_level(TraceLevel::Full);
+        tr.emit(SimTime::ZERO, TraceEvent::VisitStart { visit: 0, site: 1 });
+        tr.emit(
+            SimTime::from_micros(1_000),
+            TraceEvent::VisitEnd {
+                visit: 0,
+                completed: true,
+                plt_us: 1_000,
+            },
+        );
+        let f = stall_file("spdy", &attribute_stalls(&tr.finish()));
+        assert_eq!(f.name, "stalls_spdy.dat");
+        assert!(f.contents.starts_with("# visit site plt_ms"));
+        assert_eq!(f.contents.lines().count(), 2);
     }
 
     #[test]

@@ -18,8 +18,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod analyzer;
-pub mod attribution;
 pub mod config;
 pub mod contract;
 pub mod driver;
@@ -30,7 +28,6 @@ mod visits;
 pub mod waterfall;
 mod world;
 
-pub use attribution::{attribute_stalls, stall_file, StallBreakdown};
 pub use config::{
     AccessPath, BeaconConfig, ExperimentConfig, NetworkKind, NetworkSpec, ProtocolMode,
     NETWORK_NAMES,
@@ -43,8 +40,12 @@ pub use driver::{
     run_experiment, run_experiment_traced, try_run_experiment, try_run_experiment_traced, RunError,
     Testbed,
 };
-pub use export::{export_run, metrics_file, write_to_dir, DataFile, METRICS_SCHEMA_VERSION};
+pub use export::{
+    attribute_stalls, export_run, metrics_file, stall_file, write_to_dir, DataFile,
+    METRICS_SCHEMA_VERSION,
+};
 pub use results::{ConnTraceResult, RunResult, VisitResult};
+pub use spdyier_causal::StallBreakdown;
 pub use spdyier_trace::{FlightLog, TraceLevel};
 pub use waterfall::{
     waterfall, waterfall_json, waterfall_traced, waterfall_traced_json, Waterfall,

@@ -18,10 +18,8 @@
 use crate::assertions::{Assertion, Operand, CRITICAL_METRICS};
 use crate::manifest::{Cell, Manifest};
 use serde::{Serialize, Value};
-use spdyier_causal::critical_paths_from_records;
-use spdyier_core::{
-    attribute_stalls, AssertionVerdict, FlightLog, RunResult, VerdictStatus, VisitResult,
-};
+use spdyier_causal::{critical_paths, stall_breakdowns, EventModel};
+use spdyier_core::{AssertionVerdict, FlightLog, RunResult, VerdictStatus, VisitResult};
 use spdyier_sim::stats::{MergeError, QuantileSketch};
 use std::collections::BTreeMap;
 
@@ -93,7 +91,9 @@ impl CellMetrics {
             m.fold_visit(v);
         }
         if let Some(log) = log {
-            for b in attribute_stalls(log) {
+            // One model feeds both decompositions of the same intervals.
+            let model = EventModel::from_records(&log.events);
+            for b in stall_breakdowns(&model) {
                 m.stall_sums_us[0] += b.promotion_us;
                 m.stall_sums_us[1] += b.serialization_us;
                 m.stall_sums_us[2] += b.queueing_us;
@@ -102,7 +102,7 @@ impl CellMetrics {
                 m.stall_sums_us[5] += b.other_us;
                 m.stall_visits += 1;
             }
-            for p in critical_paths_from_records(&log.events) {
+            for p in critical_paths(&model) {
                 for (sum, add) in m.critical_sums_us.iter_mut().zip(p.sums_us()) {
                     *sum += add;
                 }

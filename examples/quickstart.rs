@@ -5,7 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use spdyier::core::analyzer::analyze;
 use spdyier::core::{run_experiment, ExperimentConfig, NetworkKind, ProtocolMode};
 use spdyier::sim::SimDuration;
 use spdyier::workload::VisitSchedule;
@@ -35,14 +34,21 @@ fn main() {
                 }
             );
         }
-        let report = analyze(&result);
+        // Retransmissions not explained by a real downlink drop are the
+        // spurious estimate (the paper found essentially all of them
+        // spurious on 3G).
+        let rtx = result.total_retransmissions;
+        let (queue_drops, loss_drops) = result.downlink_drops;
         println!(
             "  retransmissions: {} ({} promotion-correlated, {} spurious-estimate)",
-            report.retransmissions, report.promotion_correlated, report.spurious_estimate
+            rtx,
+            result.promotion_correlated_rtx(SimDuration::from_secs(1)),
+            rtx.saturating_sub(queue_drops + loss_drops)
         );
         println!(
             "  RRC promotions: {}, radio energy: {:.0} mJ\n",
-            report.promotions, result.energy_mj
+            result.promotions.len(),
+            result.energy_mj
         );
     }
     println!(
