@@ -11,7 +11,7 @@
 //! |------|---------|
 //! | 0 | every assertion passed |
 //! | 1 | at least one assertion failed |
-//! | 2 | a limit was exceeded (event budget, total-event cap) |
+//! | 2 | a limit was exceeded (event budget, total-event cap, livelock guard) |
 //! | 3 | configuration error (malformed manifest, bad CLI value) |
 //!
 //! Machine-readable side outputs that predate the contract (the

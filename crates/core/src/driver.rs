@@ -36,16 +36,39 @@ pub enum RunError {
         /// Events dispatched before giving up.
         events: u64,
     },
+    /// A servicing loop ran past its iteration guard without going
+    /// quiescent.
+    Livelock {
+        /// The loop that spun: `"pipe servicing"` or `"read loop"`.
+        stage: &'static str,
+        /// The pipe being serviced when the guard tripped.
+        pipe: usize,
+        /// Simulated time of the event being handled.
+        at: SimTime,
+    },
 }
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let RunError::EventBudgetExhausted { events } = self;
-        write!(f, "event budget exhausted after {events} events")
+        match self {
+            RunError::EventBudgetExhausted { events } => {
+                write!(f, "event budget exhausted after {events} events")
+            }
+            RunError::Livelock { stage, pipe, at } => {
+                write!(f, "{stage} livelock on pipe {pipe} at {at}")
+            }
+        }
     }
 }
 
 impl std::error::Error for RunError {}
+
+/// Dirty-queue pops one servicing pass may take before it is declared a
+/// livelock.
+const SERVICE_GUARD: u32 = 1_000_000;
+
+/// Reads one pipe's servicing may take before it is declared a livelock.
+const READ_GUARD: u32 = 100_000;
 
 /// Split-borrow `$self` into the active [`Side`] (bound to `$side`) plus
 /// a [`SessionCtx`] over the remaining harness layers (bound to `$ctx`),
@@ -78,7 +101,8 @@ pub struct Testbed {
     visits: Visits,
     side: Side,
     origin: OriginServers,
-    last_inflight: f64,
+    /// The last in-flight total pushed to the Fig. 10 series.
+    last_inflight: Option<u64>,
     result: RunResult,
     ended: bool,
 }
@@ -94,7 +118,7 @@ impl Testbed {
             visits: Visits::new(),
             side,
             origin: OriginServers::new(OriginConfig::default()),
-            last_inflight: -1.0,
+            last_inflight: None,
             result,
             ended: false,
             cfg,
@@ -102,13 +126,14 @@ impl Testbed {
     }
 
     /// Execute the run to completion, panicking if the event budget is
-    /// exhausted (see [`Testbed::try_run`] for the structured form).
+    /// exhausted or servicing livelocks (see [`Testbed::try_run`] for the
+    /// structured form).
     pub fn run(self) -> RunResult {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Execute the run to completion, or report a structured error if the
-    /// configured event budget runs out first.
+    /// configured event budget runs out first or servicing livelocks.
     pub fn try_run(self) -> Result<RunResult, RunError> {
         self.try_run_traced().map(|(result, _)| result)
     }
@@ -116,12 +141,12 @@ impl Testbed {
     /// Execute the run to completion, returning both the results and the
     /// flight recorder's log. With tracing off the log is empty.
     pub fn try_run_traced(mut self) -> Result<(RunResult, FlightLog), RunError> {
-        self.start();
+        self.start()?;
         let mut events: u64 = 0;
         while let Some((t, ev)) = self.world.queue.pop() {
             debug_assert!(t >= self.world.now, "time went backwards");
             self.world.now = t;
-            self.dispatch(ev);
+            self.dispatch(ev)?;
             if self.ended {
                 break;
             }
@@ -133,7 +158,7 @@ impl Testbed {
         Ok(self.finalize())
     }
 
-    fn start(&mut self) {
+    fn start(&mut self) -> Result<(), RunError> {
         let _span = spdyier_prof::scope("driver.start");
         for (i, (t, _)) in self.cfg.schedule.visits().enumerate() {
             self.world.queue.schedule(t, Event::Visit(i));
@@ -157,24 +182,35 @@ impl Testbed {
                         spdy.open_session(&mut ctx);
                     }
                 });
-                self.service_all();
+                self.service_all()?;
             }
         }
+        Ok(())
     }
 
     // ----- Pipe servicing -----
 
+    fn livelock(&self, stage: &'static str, pipe: usize) -> RunError {
+        RunError::Livelock {
+            stage,
+            pipe,
+            at: self.world.now,
+        }
+    }
+
     /// Service all dirty pipes to quiescence.
-    fn service_all(&mut self) {
+    fn service_all(&mut self) -> Result<(), RunError> {
         let _span = spdyier_prof::scope("world.service");
         let mut guard = 0;
         while let Some(idx) = self.world.dirty.pop_front() {
             guard += 1;
-            assert!(guard < 1_000_000, "pipe servicing livelock");
+            if guard >= SERVICE_GUARD {
+                return Err(self.livelock("pipe servicing", idx));
+            }
             if self.world.pipes[idx].closed {
                 continue;
             }
-            self.service_reads(idx);
+            self.service_reads(idx)?;
             {
                 let Testbed { world, side, .. } = self;
                 world.flush_staged(idx, &mut |role| side.refill(role));
@@ -182,17 +218,21 @@ impl Testbed {
             self.world.drain_tx(idx, &mut self.result);
             self.world.resched_timers(idx);
             self.world.maybe_mark_closed(idx);
+            self.world.fold_inflight(idx);
             self.side.sync_pipe(&mut self.world, idx);
         }
         self.sample_inflight();
         self.check_visit_complete();
+        Ok(())
     }
 
-    fn service_reads(&mut self, idx: usize) {
+    fn service_reads(&mut self, idx: usize) -> Result<(), RunError> {
         let mut guard = 0;
         loop {
             guard += 1;
-            assert!(guard < 100_000, "read loop livelock on pipe {idx}");
+            if guard >= READ_GUARD {
+                return Err(self.livelock("read loop", idx));
+            }
             if let Some(data) = self.world.pipes[idx].a.read() {
                 self.handle_a_read(idx, data);
                 continue;
@@ -215,6 +255,7 @@ impl Testbed {
         }
         // SPDY SSL-ready detection / retired-HTTP-pipe close handshakes.
         with_side!(self, side, ctx, side.post_read(&mut ctx, idx));
+        Ok(())
     }
 
     // ----- a-side reads (device for access pipes; proxy for origin pipes) -----
@@ -397,10 +438,14 @@ impl Testbed {
     }
 
     fn sample_inflight(&mut self) {
-        let total = self.world.inflight_total() as f64;
-        if (total - self.last_inflight).abs() > f64::EPSILON {
-            self.last_inflight = total;
-            self.result.inflight_bytes.push(self.world.now, total);
+        #[cfg(debug_assertions)]
+        self.world.check_inflight();
+        let total = self.world.inflight_total();
+        if self.last_inflight != Some(total) {
+            self.last_inflight = Some(total);
+            self.result
+                .inflight_bytes
+                .push(self.world.now, total as f64);
         }
     }
 
@@ -425,12 +470,12 @@ impl Testbed {
         }
     }
 
-    fn dispatch(&mut self, ev: Event) {
+    fn dispatch(&mut self, ev: Event) -> Result<(), RunError> {
         let _span = spdyier_prof::scope(Self::event_scope(&ev));
         match ev {
             Event::Deliver { pipe, to_b, seg } => {
                 if self.world.pipes[pipe].closed {
-                    return;
+                    return Ok(());
                 }
                 let now = self.world.now;
                 if self.world.pipes[pipe].over_access && !to_b && !seg.is_empty() {
@@ -447,11 +492,11 @@ impl Testbed {
                 // be exact before any assignment pass in servicing.
                 self.side.sync_pipe(&mut self.world, pipe);
                 self.world.mark_dirty(pipe);
-                self.service_all();
+                self.service_all()?;
             }
             Event::Timer { pipe, b_side } => {
                 if self.world.pipes[pipe].closed {
-                    return;
+                    return Ok(());
                 }
                 let now = self.world.now;
                 let transport = self.world.tracer.active(TraceLevel::Transport);
@@ -482,7 +527,7 @@ impl Testbed {
                     );
                 }
                 self.world.mark_dirty(pipe);
-                self.service_all();
+                self.service_all()?;
             }
             Event::BrowserTimer => {
                 self.visits.browser_timer = None;
@@ -491,7 +536,7 @@ impl Testbed {
                 }
                 self.assign_ready_objects();
                 self.visits.reschedule_browser_timer(&mut self.world);
-                self.service_all();
+                self.service_all()?;
             }
             Event::Visit(v) => {
                 {
@@ -507,7 +552,7 @@ impl Testbed {
                 }
                 self.assign_ready_objects();
                 self.visits.reschedule_browser_timer(&mut self.world);
-                self.service_all();
+                self.service_all()?;
             }
             Event::VisitDeadline { visit, generation } => {
                 if self.visits.current_visit == Some(visit) && self.visits.visit_gen == generation {
@@ -519,7 +564,7 @@ impl Testbed {
                 if !self.world.pipes[pipe].closed {
                     self.world.pipes[pipe].out_b.push_back(bytes);
                     self.world.mark_dirty(pipe);
-                    self.service_all();
+                    self.service_all()?;
                 }
             }
             Event::SslReady { pipe } => {
@@ -531,7 +576,7 @@ impl Testbed {
                         spdy.on_ssl_ready(&mut self.world, sidx);
                     }
                     self.assign_ready_objects();
-                    self.service_all();
+                    self.service_all()?;
                 }
             }
             Event::PingTick => {
@@ -563,7 +608,7 @@ impl Testbed {
                     if let Some(next) = self.visits.next_beacon_at(&self.cfg, self.world.now) {
                         self.world.queue.schedule(next, Event::Beacon);
                     }
-                    self.service_all();
+                    self.service_all()?;
                 }
             }
             Event::IdleSweep => {
@@ -582,7 +627,7 @@ impl Testbed {
                     self.world
                         .queue
                         .schedule(self.world.now + SimDuration::from_secs(5), Event::IdleSweep);
-                    self.service_all();
+                    self.service_all()?;
                 }
             }
             Event::EndRun => {
@@ -593,6 +638,7 @@ impl Testbed {
                 self.ended = true;
             }
         }
+        Ok(())
     }
 
     fn finalize(mut self) -> (RunResult, FlightLog) {
@@ -651,7 +697,7 @@ pub fn run_experiment(cfg: ExperimentConfig) -> RunResult {
 }
 
 /// Run one experiment configuration, reporting a structured error if the
-/// event budget is exhausted.
+/// event budget is exhausted or servicing livelocks.
 pub fn try_run_experiment(cfg: ExperimentConfig) -> Result<RunResult, RunError> {
     Testbed::new(cfg).try_run()
 }
@@ -683,5 +729,43 @@ mod tests {
         assert_send::<Testbed>();
         assert_send::<RunResult>();
         assert_send::<RunError>();
+    }
+
+    /// A servicing pass that never drains its dirty queue ends the run
+    /// with a structured error naming the pipe and the instant, not a
+    /// panic.
+    #[test]
+    fn servicing_livelock_is_a_run_error() {
+        let cfg = ExperimentConfig::paper_3g(ProtocolMode::Http, 1).with_schedule(
+            spdyier_workload::VisitSchedule::sequential(vec![9], SimDuration::from_secs(60)),
+        );
+        let first_visit = cfg.schedule.visits().next().expect("one visit").0;
+        let mut tb = Testbed::new(cfg);
+        let pipe = tb.world.new_pipe(
+            &mut tb.result,
+            true,
+            PipeRole::Detached,
+            "stuck".to_string(),
+        );
+        tb.world.harvest_pipe(pipe);
+        // The first pass pops this pipe once per guard step and never
+        // runs dry.
+        tb.world.dirty.clear();
+        tb.world
+            .dirty
+            .extend(std::iter::repeat_n(pipe, SERVICE_GUARD as usize));
+        let err = tb.try_run_traced().expect_err("livelock must be reported");
+        assert_eq!(
+            err,
+            RunError::Livelock {
+                stage: "pipe servicing",
+                pipe,
+                at: first_visit,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("pipe servicing livelock on pipe {pipe} at {first_visit}")
+        );
     }
 }

@@ -109,6 +109,9 @@ pub(crate) struct Pipe {
     /// Last `(cwnd, ssthresh, inflight)` sample emitted to the flight
     /// recorder (so `TcpCwnd` events fire only on change).
     pub last_cwnd_sample: Option<(u64, u64, u64)>,
+    /// The b side's bytes in flight as last folded into
+    /// [`World::inflight`] (access pipes only; zero once harvested).
+    inflight_seen: u64,
 }
 
 /// Clock, queue, RNGs, links, and pipes for one run.
@@ -131,9 +134,11 @@ pub(crate) struct World {
     pub pipes: Vec<Pipe>,
     /// Indices of not-yet-closed pipes, ascending. Maintained by
     /// [`World::new_pipe`]/[`World::harvest_pipe`] so per-event sweeps
-    /// (origin fetch routing, in-flight totals) skip the ever-growing
-    /// tail of closed pipes.
+    /// (origin fetch routing) skip the ever-growing tail of closed pipes.
     pub live: Vec<usize>,
+    /// Running total of unacknowledged proxy→device bytes across open
+    /// access pipes: the sum of their [`Pipe::inflight_seen`].
+    inflight: u64,
     /// Pipes with pending service work, in discovery order.
     pub dirty: VecDeque<usize>,
     /// Cross-connection ssthresh/RTT cache (§6.2.4).
@@ -174,6 +179,7 @@ impl World {
             wired: net_presets::cloud_wired(2),
             pipes: Vec::new(),
             live: Vec::new(),
+            inflight: 0,
             dirty: VecDeque::new(),
             metrics_cache: TcpMetricsCache::new(),
             tracer: Tracer::for_level(cfg.trace_level),
@@ -249,6 +255,7 @@ impl World {
             closed: false,
             last_activity: self.now,
             last_cwnd_sample: None,
+            inflight_seen: 0,
         });
         if over_access {
             result.connections_opened += 1;
@@ -548,6 +555,7 @@ impl World {
             return;
         }
         self.pipes[idx].closed = true;
+        self.inflight -= std::mem::take(&mut self.pipes[idx].inflight_seen);
         // Ordered remove keeps `live` ascending so position-based scans
         // over it find the same first match as a scan over `pipes`.
         if let Ok(i) = self.live.binary_search(&idx) {
@@ -573,14 +581,44 @@ impl World {
         }
     }
 
+    /// Fold an open access pipe's current proxy→device bytes in flight
+    /// into the running total.
+    ///
+    /// A pipe's `snd_nxt − snd_una` moves only in
+    /// `TcpConnection::on_segment` and in the transmit path under
+    /// `poll_transmit`. The driver calls the first only for
+    /// `Event::Deliver`, which marks the pipe dirty before servicing, and
+    /// the second only from [`World::drain_tx`] inside servicing. So
+    /// folding every serviced pipe after [`World::maybe_mark_closed`], and
+    /// giving a pipe's share back in [`World::harvest_pipe`], keeps the
+    /// total exact at the end of every servicing pass.
+    pub fn fold_inflight(&mut self, idx: usize) {
+        let p = &mut self.pipes[idx];
+        if !p.over_access || p.closed {
+            return;
+        }
+        let now = p.b.bytes_in_flight();
+        self.inflight = self.inflight - p.inflight_seen + now;
+        p.inflight_seen = now;
+    }
+
     /// Total unacknowledged proxy→device bytes across open access pipes.
     pub fn inflight_total(&self) -> u64 {
-        self.live
+        self.inflight
+    }
+
+    /// Debug cross-check of the running in-flight total against a scan
+    /// of every live access pipe.
+    #[cfg(debug_assertions)]
+    pub fn check_inflight(&self) {
+        let scan: u64 = self
+            .live
             .iter()
             .map(|&i| &self.pipes[i])
             .filter(|p| p.over_access)
             .map(|p| p.b.bytes_in_flight())
-            .sum()
+            .sum();
+        assert_eq!(self.inflight, scan, "running in-flight total");
     }
 
     // ------------------------------------------------------------------
